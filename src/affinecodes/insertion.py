@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import DECREASING, CyclicDecomposition, code_of
-from .permutations import AffinePermutation
+from .permutations import _check_word
 
 
 class DescentViolation(ValueError):
@@ -115,8 +115,10 @@ def insert(code, p):
 def insert_word(k, word):
     """Insert a whole word; returns (code, RecordingTableau).
 
-    Raises NotReduced at the first letter whose insertion hits a descent.
+    Raises NotReduced at the first letter whose insertion hits a descent,
+    RankTooSmall for k < 1 and LetterOutOfRange for a letter outside 0..k.
     """
+    word = _check_word(k, word)
     n = k + 1
     code = (0,) * n
     labels = {}

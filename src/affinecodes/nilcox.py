@@ -1,7 +1,12 @@
 """Formal sums over affine permutations with the nil product.
 
 The product of two basis elements is their composite when lengths add and
-zero otherwise, extended bilinearly.  Summing the cyclically decreasing
+zero otherwise, extended bilinearly.  It is computed as a left action: the
+letters of a reduced word of the left element multiply the right element one
+at a time, last letter first, and the product vanishes as soon as a letter is
+a left descent of what it meets.  On inverse windows a left descent is a
+right descent, which costs one comparison of two window entries, so no
+length is ever computed.  Summing the cyclically decreasing
 elements d_A over all size-i subsets gives h_i; the increasing u_B give e_i.
 The h_i commute (as do the e_i, and each h with each e), so monomials
 h_lambda make sense, and bounded-partition sums s_lambda are carved out of
@@ -15,7 +20,12 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cyclic import d_element, u_element
-from .permutations import AffinePermutation, RankMismatch
+from .permutations import (
+    AffinePermutation,
+    RankMismatch,
+    _inverse_window,
+    _peeled_word,
+)
 from .shapes import (
     _check_partition,
     conjugate,
@@ -96,26 +106,45 @@ class NilCoxSum:
         return NilCoxSum(self.k, merged)
 
     def __mul__(self, other):
+        """Scale by an integer, or take the nil product of two sums.
+
+        The product acts on the left: a reduced word s_{a_1} ... s_{a_m} of a
+        left term x multiplies a right term y letter by letter, s_{a_m}
+        first, and x*y vanishes as soon as a letter is a left descent of what
+        it meets.  A left descent of z is a right descent of z^-1, so the
+        letters act as right multiplications on a copy of y's inverse window,
+        each one an O(1) compare and swap; a surviving window is inverted
+        back to x*y.
+        """
         if isinstance(other, int):
             return NilCoxSum(self.k, {x: c * other for x, c in self._terms.items()})
         if not isinstance(other, NilCoxSum):
             return NotImplemented
         if other.k != self.k:
             raise RankMismatch(f"rank {other.k} sum multiplied into rank {self.k}")
-        lengths = {}
-
-        def ln(x):
-            if x not in lengths:
-                lengths[x] = x.length()
-            return lengths[x]
-
+        k = self.k
+        n = k + 1
+        lefts = [(_peeled_word(x.window), cx) for x, cx in self._terms.items()]
+        rights = [(_inverse_window(y.window), cy) for y, cy in other._terms.items()]
         out = {}
-        for x, cx in self._terms.items():
-            for y, cy in other._terms.items():
-                z = x * y
-                if ln(z) == ln(x) + ln(y):
+        for word, cx in lefts:
+            for inv, cy in rights:
+                w = inv[:]
+                for i in word:
+                    if i:
+                        a, b = w[i - 1], w[i]
+                        if a > b:
+                            break
+                        w[i - 1], w[i] = b, a
+                    else:
+                        a, b = w[n - 1] - n, w[0]
+                        if a > b:
+                            break
+                        w[0], w[n - 1] = a, b + n
+                else:
+                    z = AffinePermutation(k, _inverse_window(w))
                     out[z] = out.get(z, 0) + cx * cy
-        return NilCoxSum(self.k, out)
+        return NilCoxSum(k, out)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -255,14 +284,17 @@ def _k_schur(k, parts, table):
     table[parts] = _PENDING
     small = parts[-1]
     rest = parts[:-1]
-    out = h(k, small) * _k_schur(k, rest, table)
+    # the product is a fresh sum, so its dict can take the corrections
+    terms = (h(k, small) * _k_schur(k, rest, table))._terms
     strips = weak_strips(k, rest, small)
     assert parts in strips, "target shape must be a strip over its own base"
     for nu in strips:
         if nu == parts:
             continue
         assert dominates(nu, parts), "correction terms sit strictly above"
-        out = out - _k_schur(k, nu, table)
+        for x, c in _k_schur(k, nu, table)._terms.items():
+            terms[x] = terms.get(x, 0) - c
+    out = NilCoxSum(k, terms)
     table[parts] = out
     return out
 

@@ -28,6 +28,28 @@ class RankMismatch(ValueError):
     """Operands belong to groups of different rank."""
 
 
+class RankTooSmall(ValueError):
+    """Rank k < 1: there is no affine group on fewer than two residues."""
+
+
+class LetterOutOfRange(ValueError):
+    """A word letter that is not a residue 0..k."""
+
+
+def _check_word(k, word):
+    """Raise RankTooSmall unless k >= 1 and LetterOutOfRange unless every
+    letter lies in 0..k; returns the word as a list."""
+    if k < 1:
+        raise RankTooSmall(f"rank must be at least 1, got {k}")
+    word = list(word)
+    for position, letter in enumerate(word):
+        if not 0 <= letter <= k:
+            raise LetterOutOfRange(
+                f"letter {letter} at position {position} is not in 0..{k}"
+            )
+    return word
+
+
 class AffinePermutation:
     """Immutable affine permutation; hashable, equality by rank and window."""
 
@@ -63,7 +85,12 @@ class AffinePermutation:
 
     @classmethod
     def from_word(cls, k, word):
-        """Product s_{word[0]} * s_{word[1]} * ... (not necessarily reduced)."""
+        """Product s_{word[0]} * s_{word[1]} * ... (not necessarily reduced).
+
+        Raises RankTooSmall for k < 1 and LetterOutOfRange for a letter
+        outside 0..k.
+        """
+        word = _check_word(k, word)
         x = cls.identity(k)
         for letter in word:
             x = x.times_s(letter)
@@ -87,12 +114,7 @@ class AffinePermutation:
         raise AssertionError("unreachable: window covers every residue class")
 
     def inverse(self):
-        n = self.n
-        inv = [0] * n
-        for j, v in enumerate(self.window, start=1):
-            q, r = divmod(v - 1, n)
-            inv[r] = j - q * n
-        return AffinePermutation(self.k, inv)
+        return AffinePermutation(self.k, _inverse_window(self.window))
 
     def __mul__(self, other):
         if not isinstance(other, AffinePermutation):
@@ -169,6 +191,38 @@ class AffinePermutation:
 
     def __repr__(self):
         return f"AffinePermutation(k={self.k}, window={self.window})"
+
+
+def _inverse_window(window):
+    """Window of the inverse of the element with this window, as a list."""
+    n = len(window)
+    inv = [0] * n
+    for j, v in enumerate(window, start=1):
+        q, r = divmod(v - 1, n)
+        inv[r] = j - q * n
+    return inv
+
+
+def _peeled_word(window):
+    """A reduced word of the element with this window, last letter first.
+
+    Peels one right descent at a time: x(i) > x(i+1), with x(0) = x(n) - n.
+    """
+    n = len(window)
+    w = list(window)
+    letters = []
+    while True:
+        if w[n - 1] - n > w[0]:
+            w[0], w[n - 1] = w[n - 1] - n, w[0] + n
+            letters.append(0)
+            continue
+        for i in range(1, n):
+            if w[i - 1] > w[i]:
+                w[i - 1], w[i] = w[i], w[i - 1]
+                letters.append(i)
+                break
+        else:
+            return letters
 
 
 def is_reduced(k, word):

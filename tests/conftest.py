@@ -15,6 +15,12 @@ settings.load_profile("suite")
 _acceptance_lines = []
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "bench: fingerprint smoke test of the benchmark workloads"
+    )
+
+
 def record_acceptance(number, passed, detail=""):
     tail = f" ({detail})" if detail else ""
     _acceptance_lines.append(f"criterion {number:2d}: {'PASS' if passed else 'FAIL'}{tail}")

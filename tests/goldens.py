@@ -121,3 +121,11 @@ GRASS_RD = (5, 3, 1, 0)
 
 # Smallest two-row sum at rank 2: s_(1,1) has three summands.
 S11_K2_WORDS = ([0, 1], [1, 2], [2, 0])
+
+# Term counts, coefficient sets and fingerprints of two k-Schur expansions,
+# sha256(repr(sorted((window, coefficient) pairs)))[:16], computed with the
+# product that composes whole windows and compares lengths.
+KSCHUR_GOLDENS = {
+    (5, (5, 4, 3, 2, 1)): (1092, {1, 2}, "697fca3e5938f4ee"),
+    (4, (4, 3, 3, 2, 1)): (165, {1}, "21182a0fb7d0c129"),
+}

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: enumeration is
 graded by multiplication and parity alone (never by length()), lengths come
 from a direct inversion count over the window, reduced words are counted
-through left descents where the library recurses through right descents, and
-code counts come from a closed binomial formula.
+through left descents where the library recurses through right descents,
+nil products compose windows and compare inversion counts where the library
+acts with reduced words, and code counts come from a closed binomial formula.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from affinecodes import AffinePermutation
+from affinecodes import AffinePermutation, NilCoxSum
 
 
 def bfs_levels(k, bound):
@@ -53,6 +54,28 @@ def window_inversions(window):
             if t_max >= t_min:
                 total += t_max - t_min + 1
     return total
+
+
+def compose_windows(x, y):
+    """Window of the composite x(y(i)), straight off the two window tuples."""
+    n = len(x)
+    out = []
+    for v in y:
+        q, r = divmod(v - 1, n)
+        out.append(x[r] + q * n)
+    return tuple(out)
+
+
+def nil_product(a, b):
+    """Nil product of two sums: each composite whose inversion count is the
+    sum of its factors' counts, with the product of their coefficients."""
+    out = {}
+    for x, cx in a.terms().items():
+        for y, cy in b.terms().items():
+            z = compose_windows(x.window, y.window)
+            if window_inversions(z) == window_inversions(x.window) + window_inversions(y.window):
+                out[z] = out.get(z, 0) + cx * cy
+    return NilCoxSum(a.k, {AffinePermutation(a.k, z): c for z, c in out.items()})
 
 
 def naive_right_descents(window):

@@ -1,0 +1,43 @@
+"""Fingerprint smoke test of the benchmark's workloads: `pytest -m bench`.
+
+Runs each workload's op and checks on its smallest inputs and compares every
+output fingerprint with `bench/refs/<workload>.json`.  No timings are taken;
+the benchmark itself is `python3 bench/run.py`.
+"""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+SMOKE_INPUTS = 20
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(BENCH_DIR, "workloads.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_smallest_inputs_match_reference_fingerprints(workload):
+    items = sorted(workloads.universe(workload), key=lambda item: (item.size, item.key))
+    items = items[:SMOKE_INPUTS]
+    refs = workloads.load_refs(workload)
+    wl = workloads.KINDS[workload](items)
+    wl.prepare()
+    wl.start_pass()
+    for item in items:
+        fingerprint, problem = wl.check(item, wl.op(item))
+        assert problem is None, (item.key, problem)
+        assert fingerprint == refs[item.key], item.key

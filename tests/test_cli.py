@@ -97,6 +97,19 @@ def test_bad_window_is_value_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("insert", "--k", "3", "--word", "9"),
+    ("insert", "--k", "-2", "--word", "1"),
+    ("insert", "--k", "0", "--word", "0"),
+    ("decompose", "--k", "3", "--word", "9"),
+])
+def test_bad_letter_or_rank_is_value_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in out + err
+
+
 def test_insert_golden(capsys):
     code, out, _ = run(capsys, "insert", "--k", "3", "--format", "json",
                        "--word", " ".join(map(str, INSERT_WORD)))

@@ -2,6 +2,7 @@ import pytest
 
 from affinecodes import AffinePermutation
 from affinecodes.codes import code_to_permutation, rd
+from affinecodes import LetterOutOfRange, RankTooSmall
 from affinecodes.insertion import (
     BoundExceeded,
     DescentViolation,
@@ -39,6 +40,16 @@ def test_empty_word():
     assert code == (0, 0, 0, 0)
     assert tab.cells == ()
     assert reverse_insert(code, tab) == []
+
+
+def test_word_validation():
+    with pytest.raises(LetterOutOfRange):
+        insert_word(3, [0, 9])
+    with pytest.raises(LetterOutOfRange):
+        insert_word(3, [-1])
+    for k in (0, -2):
+        with pytest.raises(RankTooSmall):
+            insert_word(k, [0])
 
 
 def test_not_reduced_position():

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from math import comb
 
 import pytest
@@ -23,8 +25,8 @@ from affinecodes.nilcox import (
 )
 from affinecodes.permutations import RankMismatch
 from affinecodes.shapes import conjugate, grassmannian_perm, k_conjugate_partition
-from goldens import GRASS_LAMBDA, S11_K2_WORDS, SPLIT_K4_FACTORS
-from oracles import bfs_levels, bounded_partitions
+from goldens import GRASS_LAMBDA, KSCHUR_GOLDENS, S11_K2_WORDS, SPLIT_K4_FACTORS
+from oracles import bfs_levels, bounded_partitions, nil_product
 
 
 def test_sum_arithmetic():
@@ -234,3 +236,67 @@ def test_verify_split_product_small():
     factors, results = verify_split_product(3, (2, 1))
     assert factors == ((2, 1),)
     assert results == [(((2, 1),), True)]
+
+
+def _word_sum(k, words_and_coefficients):
+    return NilCoxSum(
+        k, {AffinePermutation.from_word(k, w): c for w, c in words_and_coefficients}
+    )
+
+
+def _random_sum(rng, k, pool, size):
+    return NilCoxSum(k, {x: rng.choice((-2, -1, 1, 2)) for x in rng.sample(pool, size)})
+
+
+def _cancelling_pair(k):
+    """Two sums whose product has surviving pairs that cancel to zero."""
+    if k == 1:
+        # s0 s1 s0 - s0 s1 s0; the cross terms s0 s0 and s0 s1 s1 s0 vanish
+        return _word_sum(k, [([0], 1), ([0, 1], -1)]), _word_sum(k, [([1, 0], 1), ([0], 1)])
+    # the braid relation s0 s1 s0 = s1 s0 s1 cancels the two survivors
+    return _word_sum(k, [([0, 1], 1), ([1, 0], -1)]), _word_sum(k, [([0], 1), ([1], 1)])
+
+
+def _product_cases(k):
+    """h x k-Schur, e x h, k-Schur x k-Schur, signed random sums, and unit and
+    empty factors, as (left, right) pairs."""
+    table = {}
+    small = [lam for size in range(1, 4) for lam in bounded_partitions(k, size)]
+    for i in range(k + 1):
+        for lam in small:
+            yield h(k, i), k_schur(k, lam, table)
+        for j in range(k + 1):
+            yield e(k, i), h(k, j)
+    # left factors longer than k, so their reduced words exceed one cycle
+    for lam in bounded_partitions(k, k + 1):
+        for mu in small[:4]:
+            yield k_schur(k, lam, table), k_schur(k, mu, table)
+    rng = random.Random(f"nil_product/{k}")
+    pool = sorted(set().union(*bfs_levels(k, 5)), key=lambda x: x.window)
+    for _ in range(25):
+        yield _random_sum(rng, k, pool, 6), _random_sum(rng, k, pool, 6)
+    a = _random_sum(rng, k, pool, 6)
+    yield NilCoxSum.one(k), a
+    yield a, NilCoxSum.one(k)
+    yield NilCoxSum(k), a
+    yield a, NilCoxSum(k)
+    yield NilCoxSum(k), NilCoxSum(k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_product_matches_window_composition_oracle(k):
+    for a, b in _product_cases(k):
+        assert a * b == nil_product(a, b), (k, a, b)
+    a, b = _cancelling_pair(k)
+    survivors = NilCoxSum(k, {x: 1 for x in a.terms()}) * NilCoxSum(k, {y: 1 for y in b.terms()})
+    assert not survivors.is_zero()
+    assert (a * b).is_zero() and nil_product(a, b).is_zero()
+
+
+def test_k_schur_exactness_goldens():
+    for (k, parts), (count, coefficients, fingerprint) in KSCHUR_GOLDENS.items():
+        total = k_schur(k, parts)
+        pairs = sorted((x.window, c) for x, c in total.terms().items())
+        assert len(pairs) == count
+        assert {c for _, c in pairs} == coefficients
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] == fingerprint

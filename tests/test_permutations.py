@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from affinecodes import AffinePermutation, is_reduced
 from affinecodes.permutations import (
     BadSum,
+    LetterOutOfRange,
     RankMismatch,
+    RankTooSmall,
     RepeatedResidueClass,
     WrongLength,
 )
@@ -58,6 +60,16 @@ def test_window_validation():
         AffinePermutation.from_window([0, 3, 3])
     with pytest.raises(RankMismatch):
         AffinePermutation.identity(2) * AffinePermutation.identity(3)
+
+
+def test_word_validation():
+    for letter in (9, 4, -1):
+        with pytest.raises(LetterOutOfRange):
+            AffinePermutation.from_word(3, [1, letter])
+    for k in (0, -2):
+        with pytest.raises(RankTooSmall):
+            AffinePermutation.from_word(k, [])
+    assert AffinePermutation.from_word(3, [0, 3]).length() == 2
 
 
 def test_identity_and_simple():
