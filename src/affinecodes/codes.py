@@ -15,7 +15,10 @@ list (which is the opposite-direction right decomposition of the inverse).
 
 The same four vectors arise from window statistics alone (affine_code): counts
 of larger values to the left or smaller values to the right of a fixed
-position or value, taken per residue class.
+position or value, taken per residue class.  Since the code determines the
+decomposition, canonical_decomposition reads its rows off affine_code: row j
+holds the filling residues of the cells at level j.  The letter-by-letter
+peeling of max_right_set remains only inside two_row_maximize.
 """
 
 from __future__ import annotations
@@ -116,17 +119,20 @@ def _peel(x, residues, direction):
 
 
 def canonical_decomposition(x, direction=DECREASING, side="right"):
-    """Maximal decomposition of x into cyclic factors of the given kind."""
+    """Maximal decomposition of x into cyclic factors of the given kind.
+
+    Right-side rows are read off the window-statistic code, affine_code(x,
+    'rd') or affine_code(x, 'ri'): row j holds the filling residues of the
+    cells at level j, so no letter is peeled.
+    The left side is the right decomposition of the inverse in the opposite
+    direction, with its rows reversed.
+    """
     if side == "left":
         flipped = INCREASING if direction == DECREASING else DECREASING
         inner = canonical_decomposition(x.inverse(), flipped, "right")
         return CyclicDecomposition(x.k, tuple(reversed(inner.rows)), direction, "left")
-    rows = []
-    while not x.is_identity():
-        top = max_right_set(x, direction)
-        rows.append(top)
-        x = _peel(x, top, direction)
-    return CyclicDecomposition(x.k, tuple(rows), direction, "right")
+    code = affine_code(x, "rd" if direction == DECREASING else "ri")
+    return CyclicDecomposition(x.k, _rows_of_code(code, direction), direction, "right")
 
 
 def filling_residue(k, direction, column, row):
@@ -135,6 +141,21 @@ def filling_residue(k, direction, column, row):
     if direction == DECREASING:
         return (column - row + 1) % n
     return (column + row - 1) % n
+
+
+def _rows_of_code(code, direction):
+    """Row sets, bottom row first, of the right decomposition with this code.
+
+    Row j holds the filling residues of the cells at level j: (i - j + 1) mod
+    k+1 for decreasing rows and (i + j - 1) mod k+1 for increasing rows, over
+    the columns i with code[i] >= j.
+    """
+    n = len(code)
+    shift = -1 if direction == DECREASING else 1
+    return tuple(
+        frozenset((i + shift * (j - 1)) % n for i in range(n) if code[i] >= j)
+        for j in range(1, max(code, default=0) + 1)
+    )
 
 
 def code_of(decomp):

@@ -9,14 +9,20 @@ unchanged (a braid) when both are present.  Labelling each inserted cell with
 its step number yields a recording tableau; the map from reduced words to
 recording tableaux of the final code is a bijection, inverted by
 reverse_insert.
+
+One in-place row step (_insert_into_rows) does every insertion.  insert_word
+carries mutable row sets through the whole word and builds its code once, at
+the end; insert converts one code to rows and back around a single step.
+Reduced words are walked with explicit stacks, so no path depends on the
+recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import DECREASING, CyclicDecomposition, code_of
-from .permutations import _check_word
+from .codes import DECREASING, CyclicDecomposition, _rows_of_code, code_of
+from .permutations import LetterOutOfRange, _check_word
 
 
 class DescentViolation(ValueError):
@@ -63,53 +69,55 @@ class RecordingTableau:
         return dict(self.cells)
 
 
-def _rows_of_code(code):
-    """Row sets of the decreasing decomposition with this code."""
-    n = len(code)
-    rows = []
-    for j in range(1, max(code, default=0) + 1):
-        rows.append(frozenset((i - j + 1) % n for i in range(n) if code[i] >= j))
-    return rows
-
-
 def _code_of_rows(k, rows):
-    return code_of(CyclicDecomposition(k, tuple(rows), DECREASING, "right"))
+    rows = tuple(frozenset(row) for row in rows)
+    return code_of(CyclicDecomposition(k, rows, DECREASING, "right"))
+
+
+def _insert_into_rows(rows, p, n):
+    """Insert residue p into decreasing row sets, bottom row first, in place.
+
+    Returns (steps, final_cell) as in InsertionTrace.  Raises DescentViolation
+    at the first row holding the carried residue but not its predecessor; the
+    rows are then partly updated and must be discarded.
+    """
+    steps = []
+    carry = p
+    for j, row in enumerate(rows, start=1):
+        prev = (carry - 1) % n
+        if prev in row:
+            if carry in row:
+                steps.append((j, "braid", carry))
+            else:
+                steps.append((j, "bump", carry))
+                row.remove(prev)
+                row.add(carry)
+            carry = prev
+        elif carry in row:
+            raise DescentViolation(f"residue {carry} at row {j}")
+        else:
+            steps.append((j, "include", carry))
+            row.add(carry)
+            return steps, ((carry + j - 1) % n, j)
+    rows.append({carry})
+    j = len(rows)
+    steps.append((j, "include", carry))
+    return steps, ((carry + j - 1) % n, j)
 
 
 def insert(code, p):
     """Insert residue p into a code; returns (new code, trace).
 
     Raises DescentViolation when p is a descent of the coded element, which
-    is exactly when the insertion meets a row containing p but not p - 1.
+    is exactly when the insertion meets a row containing p but not p - 1,
+    and LetterOutOfRange when p is not a residue 0..k.
     """
     n = len(code)
-    p %= n
-    rows = _rows_of_code(code)
-    steps = []
-    carry = p
-    j = 1
-    while True:
-        row = rows[j - 1] if j <= len(rows) else frozenset()
-        has = carry in row
-        has_prev = (carry - 1) % n in row
-        if has and not has_prev:
-            raise DescentViolation(f"residue {carry} at row {j}")
-        if not has and not has_prev:
-            steps.append((j, "include", carry))
-            new_row = row | {carry}
-            if j <= len(rows):
-                rows[j - 1] = new_row
-            else:
-                rows.append(new_row)
-            cell = ((carry + j - 1) % n, j)
-            return _code_of_rows(n - 1, rows), InsertionTrace(tuple(steps), cell)
-        if has_prev and not has:
-            steps.append((j, "bump", carry))
-            rows[j - 1] = row - {(carry - 1) % n} | {carry}
-        else:
-            steps.append((j, "braid", carry))
-        carry = (carry - 1) % n
-        j += 1
+    if not 0 <= p < n:
+        raise LetterOutOfRange(f"letter {p} is not in 0..{n - 1}")
+    rows = [set(row) for row in _rows_of_code(code, DECREASING)]
+    steps, cell = _insert_into_rows(rows, p, n)
+    return _code_of_rows(n - 1, rows), InsertionTrace(tuple(steps), cell)
 
 
 def insert_word(k, word):
@@ -120,19 +128,19 @@ def insert_word(k, word):
     """
     word = _check_word(k, word)
     n = k + 1
-    code = (0,) * n
+    rows = []
     labels = {}
     for step, letter in enumerate(word):
         try:
-            code, trace = insert(code, letter)
+            steps, cell = _insert_into_rows(rows, letter, n)
         except DescentViolation:
             raise NotReduced(step) from None
-        for j, action, carry in trace.steps:
+        for j, action, carry in steps:
             if action == "bump":
-                source = (((carry - 1) % n + j - 1) % n, j)
+                source = ((carry + j - 2) % n, j)
                 labels[((carry + j - 1) % n, j)] = labels.pop(source)
-        labels[trace.final_cell] = step + 1
-    return code, RecordingTableau(k, tuple(sorted(labels.items())))
+        labels[cell] = step + 1
+    return _code_of_rows(k, rows), RecordingTableau(k, tuple(sorted(labels.items())))
 
 
 def reverse_insert(code, tableau):
@@ -149,7 +157,7 @@ def reverse_insert(code, tableau):
     diagram = {(i, j) for i in range(n) for j in range(1, code[i] + 1)}
     if set(labels) != diagram:
         raise NotStandard("labelled cells differ from the cells of the code")
-    rows = _rows_of_code(code)
+    rows = list(_rows_of_code(code, DECREASING))
     word = []
     for step in range(len(labels), 0, -1):
         (col, j), = (cell for cell, lab in labels.items() if lab == step)
@@ -187,35 +195,40 @@ def enumerate_reduced_words(x, bound=None):
     if bound is not None and count_reduced_words(x) > bound:
         raise BoundExceeded(f"more than {bound} reduced words")
     words = []
-
-    def walk(y, suffix):
+    # peeled links the letters taken off so far, the latest first:
+    # (letter, rest) pairs ending in None, which read the word left to right.
+    stack = [(x, None)]
+    while stack:
+        y, peeled = stack.pop()
         descents = y.right_descents()
-        if not descents:
-            words.append(list(reversed(suffix)))
-            return
-        for i in sorted(descents):
-            suffix.append(i)
-            walk(y.times_s(i), suffix)
-            suffix.pop()
-
-    walk(x, [])
+        if descents:
+            stack.extend((y.times_s(i), (i, peeled)) for i in descents)
+            continue
+        word = []
+        while peeled is not None:
+            letter, peeled = peeled
+            word.append(letter)
+        words.append(word)
     return sorted(words)
 
 
 def count_reduced_words(x, bound=None):
     """Number of reduced words for x, by summing over right descents."""
     memo = {}
-
-    def count(y):
-        if y.is_identity():
-            return 1
+    stack = [x]
+    while stack:
+        y = stack[-1]
         if y in memo:
-            return memo[y]
-        total = sum(count(y.times_s(i)) for i in y.right_descents())
-        memo[y] = total
-        return total
-
-    total = count(x)
+            stack.pop()
+            continue
+        below = [y.times_s(i) for i in y.right_descents()]
+        pending = [z for z in below if z not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        memo[y] = sum(memo[z] for z in below) if below else 1
+        stack.pop()
+    total = memo[x]
     if bound is not None and total > bound:
         raise BoundExceeded(f"{total} reduced words exceeds bound {bound}")
     return total

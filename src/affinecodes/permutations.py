@@ -80,7 +80,7 @@ class AffinePermutation:
 
     @classmethod
     def simple(cls, k, i):
-        """The generator s_i, 0 <= i <= k."""
+        """The generator s_i; LetterOutOfRange unless 0 <= i <= k."""
         return cls.identity(k).times_s(i)
 
     @classmethod
@@ -126,9 +126,13 @@ class AffinePermutation:
         )
 
     def times_s(self, i):
-        """Right multiplication by s_i: swap positions i, i+1 in every period."""
+        """Right multiplication by s_i: swap positions i, i+1 in every period.
+
+        Raises LetterOutOfRange unless 0 <= i <= k.
+        """
         n = self.n
-        i %= n
+        if not 0 <= i < n:
+            raise LetterOutOfRange(f"letter {i} is not in 0..{self.k}")
         w = list(self.window)
         if i == 0:
             w[0], w[n - 1] = w[n - 1] - n, w[0] + n
@@ -137,9 +141,13 @@ class AffinePermutation:
         return AffinePermutation(self.k, w)
 
     def s_times(self, i):
-        """Left multiplication by s_i: swap values i, i+1 in every period."""
+        """Left multiplication by s_i: swap values i, i+1 in every period.
+
+        Raises LetterOutOfRange unless 0 <= i <= k.
+        """
         n = self.n
-        i %= n
+        if not 0 <= i < n:
+            raise LetterOutOfRange(f"letter {i} is not in 0..{self.k}")
         lo, hi = i, (i + 1) % n
         w = []
         for v in self.window:
@@ -226,7 +234,12 @@ def _peeled_word(window):
 
 
 def is_reduced(k, word):
-    """True when the word multiplies without any length drop."""
+    """True when the word multiplies without any length drop.
+
+    Raises RankTooSmall for k < 1 and LetterOutOfRange for a letter outside
+    0..k.
+    """
+    word = _check_word(k, word)
     x = AffinePermutation.identity(k)
     for letter in word:
         # multiplying by a current right descent shortens the element

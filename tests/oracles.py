@@ -5,7 +5,9 @@ graded by multiplication and parity alone (never by length()), lengths come
 from a direct inversion count over the window, reduced words are counted
 through left descents where the library recurses through right descents,
 nil products compose windows and compare inversion counts where the library
-acts with reduced words, and code counts come from a closed binomial formula.
+acts with reduced words, canonical decompositions peel maximal right sets one
+letter at a time where the library reads rows off the window-statistic code,
+and code counts come from a closed binomial formula.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from functools import lru_cache
 
 from affinecodes import AffinePermutation, NilCoxSum
+from affinecodes.codes import DECREASING, INCREASING, _peel, max_right_set
 
 
 def bfs_levels(k, bound):
@@ -76,6 +79,25 @@ def nil_product(a, b):
             if window_inversions(z) == window_inversions(x.window) + window_inversions(y.window):
                 out[z] = out.get(z, 0) + cx * cy
     return NilCoxSum(a.k, {AffinePermutation(a.k, z): c for z, c in out.items()})
+
+
+def peeled_decomposition(x, direction, side):
+    """Rows of the maximal decomposition, rightmost factor first, by peeling.
+
+    The right side repeatedly takes the largest proper residue set peelable
+    off the right (max_right_set) and removes its factor letter by letter.
+    The left side is the right decomposition of the inverse in the opposite
+    direction, with its rows reversed.
+    """
+    if side == "left":
+        flipped = INCREASING if direction == DECREASING else DECREASING
+        return tuple(reversed(peeled_decomposition(x.inverse(), flipped, "right")))
+    rows = []
+    while not x.is_identity():
+        top = max_right_set(x, direction)
+        rows.append(top)
+        x = _peel(x, top, direction)
+    return tuple(rows)
 
 
 def naive_right_descents(window):

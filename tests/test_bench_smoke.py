@@ -1,7 +1,8 @@
 """Fingerprint smoke test of the benchmark's workloads: `pytest -m bench`.
 
-Runs each workload's op and checks on its smallest inputs and compares every
-output fingerprint with `bench/refs/<workload>.json`.  No timings are taken;
+Runs each workload's op and checks on its smallest inputs, and codes_insert's
+also on its longest, and compares every output fingerprint with
+`bench/refs/<workload>.json`.  No timings are taken;
 the benchmark itself is `python3 bench/run.py`.
 """
 
@@ -13,6 +14,7 @@ import pytest
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 SMOKE_INPUTS = 20
+LONGEST_CODES_INPUTS = 3
 
 
 def _load_workloads():
@@ -28,11 +30,7 @@ def _load_workloads():
 workloads = _load_workloads()
 
 
-@pytest.mark.bench
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_smallest_inputs_match_reference_fingerprints(workload):
-    items = sorted(workloads.universe(workload), key=lambda item: (item.size, item.key))
-    items = items[:SMOKE_INPUTS]
+def _check_against_refs(workload, items):
     refs = workloads.load_refs(workload)
     wl = workloads.KINDS[workload](items)
     wl.prepare()
@@ -41,3 +39,19 @@ def test_smallest_inputs_match_reference_fingerprints(workload):
         fingerprint, problem = wl.check(item, wl.op(item))
         assert problem is None, (item.key, problem)
         assert fingerprint == refs[item.key], item.key
+
+
+def _by_size(workload):
+    return sorted(workloads.universe(workload), key=lambda item: (item.size, item.key))
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_smallest_inputs_match_reference_fingerprints(workload):
+    _check_against_refs(workload, _by_size(workload)[:SMOKE_INPUTS])
+
+
+@pytest.mark.bench
+def test_longest_codes_inputs_match_reference_fingerprints():
+    """The longest words reach the many-row insertion the smallest never do."""
+    _check_against_refs("codes_insert", _by_size("codes_insert")[-LONGEST_CODES_INPUTS:])

@@ -176,6 +176,15 @@ def test_reduced_words(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra", [["--count-only"], []])
+def test_reduced_words_of_long_element(capsys, extra):
+    word = " ".join(["0 1"] * 750)
+    code, out, _ = run(capsys, "reduced-words", "--k", "1", "--word", word,
+                       "--length-bound", "2000", "--format", "json", *extra)
+    assert code == 0
+    assert json.loads(out)["count"] == 1
+
+
 def test_kschur_expand(capsys):
     code, out, _ = run(capsys, "kschur", "--k", "2", "--partition", "1,1",
                        "--format", "json")

@@ -52,7 +52,7 @@ from goldens import (
     K9_WORD_CUT3,
     K9_WORD_CUT6,
 )
-from oracles import bfs_levels
+from oracles import bfs_levels, peeled_decomposition
 
 
 def golden():
@@ -210,6 +210,19 @@ def test_inverse_duality():
     for x in _sweep():
         assert ld(x) == ri(x.inverse())
         assert li(x) == rd(x.inverse())
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("direction", [DECREASING, INCREASING])
+def test_code_rows_match_peeled_rows(direction, side):
+    checked = 0
+    for k in range(1, 5):
+        for level in bfs_levels(k, 7):
+            for x in level:
+                decomp = canonical_decomposition(x, direction, side)
+                assert decomp.rows == peeled_decomposition(x, direction, side), x
+                checked += 1
+    assert checked == 1166
 
 
 def _try_peel(x, s, word_maker):

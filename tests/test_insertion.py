@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from affinecodes import AffinePermutation
-from affinecodes.codes import code_to_permutation, rd
+from affinecodes.codes import affine_code, code_to_permutation, rd
 from affinecodes import LetterOutOfRange, RankTooSmall
 from affinecodes.insertion import (
     BoundExceeded,
@@ -16,7 +18,7 @@ from affinecodes.insertion import (
     reverse_insert,
 )
 from goldens import INSERT_CODE, INSERT_FIRST_ROW, INSERT_LABELS, INSERT_WORD
-from oracles import bfs_levels, left_reduced_word_count
+from oracles import bfs_levels, left_reduced_word_count, naive_right_descents
 
 
 def golden_tableau():
@@ -50,6 +52,9 @@ def test_word_validation():
     for k in (0, -2):
         with pytest.raises(RankTooSmall):
             insert_word(k, [0])
+    for letter in (9, 4, -1):
+        with pytest.raises(LetterOutOfRange):
+            insert((0, 0, 0, 0), letter)
 
 
 def test_not_reduced_position():
@@ -141,3 +146,43 @@ def test_bound_exceeded():
     with pytest.raises(BoundExceeded):
         count_reduced_words(x, bound=total - 1)
     assert count_reduced_words(x, bound=total) == total
+
+
+def _random_reduced_word(k, length, rng):
+    """A reduced word of the given length: every letter is a right ascent."""
+    x = AffinePermutation.identity(k)
+    word = []
+    for _ in range(length):
+        descents = naive_right_descents(x.window)
+        letter = rng.choice([i for i in range(k + 1) if i not in descents])
+        x = x.times_s(letter)
+        word.append(letter)
+    return word
+
+
+def _fold_insert(k, word):
+    """insert_word rebuilt from public insert, one letter at a time."""
+    n = k + 1
+    code = (0,) * n
+    labels = {}
+    for step, letter in enumerate(word, start=1):
+        code, trace = insert(code, letter)
+        for j, action, carry in trace.steps:
+            if action == "bump":
+                labels[((carry + j - 1) % n, j)] = labels.pop(((carry + j - 2) % n, j))
+        labels[trace.final_cell] = step
+    return code, RecordingTableau(k, tuple(sorted(labels.items())))
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_long_words_match_letter_by_letter_insertion(k):
+    rng = random.Random(f"long-insertion/{k}")
+    word = _random_reduced_word(k, rng.randint(300, 600), rng)
+    x = AffinePermutation.from_word(k, word)
+    code, tableau = insert_word(k, word)
+    assert (code, tableau) == _fold_insert(k, word)
+    assert code == affine_code(x, "rd")
+    assert reverse_insert(code, tableau) == word
+    with pytest.raises(NotReduced) as info:
+        insert_word(k, word + word[-1:])
+    assert info.value.position == len(word)

@@ -72,6 +72,19 @@ def test_word_validation():
     assert AffinePermutation.from_word(3, [0, 3]).length() == 2
 
 
+@pytest.mark.parametrize("letter", [9, 4, -1])
+def test_generator_letter_range(letter):
+    x = AffinePermutation.from_word(3, K3_WORD)
+    with pytest.raises(LetterOutOfRange):
+        AffinePermutation.simple(3, letter)
+    with pytest.raises(LetterOutOfRange):
+        x.times_s(letter)
+    with pytest.raises(LetterOutOfRange):
+        x.s_times(letter)
+    with pytest.raises(LetterOutOfRange):
+        is_reduced(3, [letter, 1])
+
+
 def test_identity_and_simple():
     e = AffinePermutation.identity(3)
     assert e.is_identity() and e.length() == 0 and not e.right_descents()
