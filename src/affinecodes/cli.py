@@ -275,7 +275,7 @@ def _selftest_checks():
         x = AffinePermutation.from_word(3, golden)
         want = {"rd": (3, 8, 4, 0), "ri": (11, 3, 0, 1),
                 "ld": (4, 3, 8, 0), "li": (3, 0, 11, 1)}
-        return all(affine_code(x, v) == want[v] for v in want) and rd(x) == want["rd"]
+        return all(affine_code(x, v) == want[v] for v in want)
 
     def check_insertion():
         word = [0, 3, 1, 2, 1, 0]

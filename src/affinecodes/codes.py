@@ -13,20 +13,19 @@ residue i - j + 1 for decreasing rows and i + j - 1 for increasing rows, mod
 k+1.  Left-side codes reuse the right-side formulas after reversing the row
 list (which is the opposite-direction right decomposition of the inverse).
 
-The same four vectors arise from window statistics alone (affine_code): counts
-of larger values to the left or smaller values to the right of a fixed
-position or value, taken per residue class.  Since the code determines the
-decomposition, canonical_decomposition reads its rows off affine_code: row j
-holds the filling residues of the cells at level j.  The letter-by-letter
-peeling of max_right_set remains only inside two_row_maximize.
+Each of the four codes is a window statistic: rd and ri count larger values
+to the left or smaller values to the right of each position, per residue
+class, and ld and li are ri and rd of the inverse.  Since the code determines
+the decomposition, canonical_decomposition reads its rows off the code: row j
+holds the filling residues of the cells at level j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclic import connected_components, d_word, u_word
-from .permutations import AffinePermutation
+from .cyclic import d_word, u_word
+from .permutations import AffinePermutation, is_reduced
 
 
 class IdentityInput(ValueError):
@@ -52,32 +51,6 @@ ZERO = _ZeroType()
 
 DECREASING = "decreasing"
 INCREASING = "increasing"
-
-
-def max_right_set(x, direction=DECREASING):
-    """The unique largest proper residue set peelable off the right of x.
-
-    For each right descent i the connected run is grown away from i (upward
-    for decreasing factors, downward for increasing) while the next letter
-    stays a descent of the partially peeled element, capped at k residues so
-    the set stays proper.  The union over descents is the answer.
-    """
-    n = x.n
-    descents = x.right_descents()
-    if not descents:
-        raise IdentityInput("identity has no right descents")
-    step = 1 if direction == DECREASING else -1
-    result = set()
-    for i in descents:
-        t = i
-        z = x.times_s(i)
-        size = 1
-        while size < n - 1 and (t + step) % n in z.right_descents():
-            t = (t + step) % n
-            z = z.times_s(t)
-            size += 1
-        result.update((i + step * s) % n for s in range(size))
-    return frozenset(result)
 
 
 @dataclass(frozen=True)
@@ -109,30 +82,22 @@ class CyclicDecomposition:
         return code_of(self)
 
 
-def _peel(x, residues, direction):
-    """Remove the factor on residues from the right of x, one letter at a time."""
-    word = d_word(x.k, residues) if direction == DECREASING else u_word(x.k, residues)
-    for letter in reversed(word):
-        assert letter in x.right_descents(), "peeled letter must shorten the element"
-        x = x.times_s(letter)
-    return x
-
-
 def canonical_decomposition(x, direction=DECREASING, side="right"):
     """Maximal decomposition of x into cyclic factors of the given kind.
 
-    Right-side rows are read off the window-statistic code, affine_code(x,
-    'rd') or affine_code(x, 'ri'): row j holds the filling residues of the
-    cells at level j, so no letter is peeled.
-    The left side is the right decomposition of the inverse in the opposite
-    direction, with its rows reversed.
+    Rows are read off the code of the same kind, so no letter is peeled: row j
+    holds the filling residues of the cells at level j.  A left decomposition
+    is the right decomposition of the inverse in the opposite direction, whose
+    code is the left code of x, with its rows reversed.
     """
     if side == "left":
         flipped = INCREASING if direction == DECREASING else DECREASING
-        inner = canonical_decomposition(x.inverse(), flipped, "right")
-        return CyclicDecomposition(x.k, tuple(reversed(inner.rows)), direction, "left")
-    code = affine_code(x, "rd" if direction == DECREASING else "ri")
-    return CyclicDecomposition(x.k, _rows_of_code(code, direction), direction, "right")
+        code = affine_code(x, "ld" if direction == DECREASING else "li")
+        rows = tuple(reversed(_rows_of_code(code, flipped)))
+    else:
+        code = affine_code(x, "rd" if direction == DECREASING else "ri")
+        rows = _rows_of_code(code, direction)
+    return CyclicDecomposition(x.k, rows, direction, side)
 
 
 def filling_residue(k, direction, column, row):
@@ -187,26 +152,6 @@ def code_of(decomp):
     )
 
 
-def rd(x):
-    """Code of the right decreasing decomposition."""
-    return code_of(canonical_decomposition(x, DECREASING, "right"))
-
-
-def ri(x):
-    """Code of the right increasing decomposition."""
-    return code_of(canonical_decomposition(x, INCREASING, "right"))
-
-
-def ld(x):
-    """Code of the left decreasing decomposition."""
-    return code_of(canonical_decomposition(x, DECREASING, "left"))
-
-
-def li(x):
-    """Code of the left increasing decomposition."""
-    return code_of(canonical_decomposition(x, INCREASING, "left"))
-
-
 def _count_before_greater(x, position, threshold):
     """Number of integers j < position with x(j) > threshold."""
     n = x.n
@@ -231,31 +176,36 @@ def _count_after_less(x, position, threshold):
     return total
 
 
-def affine_code(x, variant):
-    """Code computed from window statistics, no factorization involved.
+def rd(x):
+    """Right decreasing code: entry i counts the positions left of i+1
+    holding values above x(i+1)."""
+    return tuple(_count_before_greater(x, i + 1, x.value_at(i + 1)) for i in range(x.n))
 
-    Entry i of each variant counts, per residue class:
-      rd: positions left of i+1 holding values above x(i+1)
-      ri: positions right of i holding values below x(i)
-      ld: positions left of the preimage of i holding values above i
-      li: positions right of the preimage of i+1 holding values below i+1
-    The anchor may be shifted by any multiple of k+1 without changing the
-    count, so entries depend only on the residue of the anchor.
-    """
-    n = x.n
-    if variant == "rd":
-        return tuple(
-            _count_before_greater(x, i + 1, x.value_at(i + 1)) for i in range(n)
-        )
-    if variant == "ri":
-        return tuple(_count_after_less(x, i, x.value_at(i)) for i in range(n))
-    if variant == "ld":
-        return tuple(_count_before_greater(x, x.position_of(i), i) for i in range(n))
-    if variant == "li":
-        return tuple(
-            _count_after_less(x, x.position_of(i + 1), i + 1) for i in range(n)
-        )
-    raise ValueError(f"unknown variant {variant!r}")
+
+def ri(x):
+    """Right increasing code: entry i counts the positions right of i holding
+    values below x(i)."""
+    return tuple(_count_after_less(x, i, x.value_at(i)) for i in range(x.n))
+
+
+def ld(x):
+    """Left decreasing code, ri of the inverse: entry i counts the positions
+    left of the preimage of i holding values above i."""
+    return ri(x.inverse())
+
+
+def li(x):
+    """Left increasing code, rd of the inverse: entry i counts the positions
+    right of the preimage of i+1 holding values below i+1."""
+    return rd(x.inverse())
+
+
+def affine_code(x, variant):
+    """The code named by variant: 'rd', 'ri', 'ld' or 'li'."""
+    codes = {"rd": rd, "ri": ri, "ld": ld, "li": li}
+    if variant not in codes:
+        raise ValueError(f"unknown variant {variant!r}")
+    return codes[variant](x)
 
 
 def code_descents(code):
@@ -289,20 +239,17 @@ def two_row_maximize(k, b_set, a_set):
 
     Returns ZERO when the product vanishes, otherwise the pair
     (b_new, a_new) with d_{b_new} * d_{a_new} the same element, a_new the
-    maximal right set, and b_new possibly empty.
+    maximal right set, and b_new possibly empty.  Raises IdentityInput when
+    both sets are empty.
     """
     word = d_word(k, b_set) + d_word(k, a_set)
-    x = AffinePermutation.from_word(k, word)
-    if x.length() != len(word):
+    if not is_reduced(k, word):
         return ZERO
-    a_new = max_right_set(x, DECREASING)
-    y = _peel(x, a_new, DECREASING)
-    if y.is_identity():
-        b_new = frozenset()
-    else:
-        b_new = max_right_set(y, DECREASING)
-        y = _peel(y, b_new, DECREASING)
-        assert y.is_identity(), "two reduced rows maximize to at most two rows"
+    rows = canonical_decomposition(AffinePermutation.from_word(k, word)).rows
+    if not rows:
+        raise IdentityInput("identity has no maximal factor to extract")
+    assert len(rows) <= 2, "two reduced rows maximize to at most two rows"
+    a_new, b_new = rows if len(rows) == 2 else (rows[0], frozenset())
     return b_new, a_new
 
 

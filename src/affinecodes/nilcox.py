@@ -318,16 +318,14 @@ def is_left_compatible(x, y):
     return z.right_descents() == y.right_descents()
 
 
-def split_groupings(k, parts):
-    """Contiguous merges of the split factors of the core of parts.
-
-    Factors come bottom block first; each grouping merges consecutive factors
-    by stacking their rows.  Yields one tuple of bounded partitions per
-    grouping, 2**(m-1) in all.
-    """
-    parts = _check_partition(parts)
+def _split_factors(k, parts):
+    """Bounded partitions of the split components of parts' core, bottom first."""
     comps = split_components(k, to_core(k, parts)) if parts else []
-    factors = [from_core(k, c) for c in comps]
+    return tuple(from_core(k, c) for c in comps)
+
+
+def _groupings(factors):
+    """The groupings of split_groupings, given the split factors."""
     m = len(factors)
     if m == 0:
         yield ()
@@ -346,6 +344,16 @@ def split_groupings(k, parts):
         yield tuple(blocks)
 
 
+def split_groupings(k, parts):
+    """Contiguous merges of the split factors of the core of parts.
+
+    Factors come bottom block first; each grouping merges consecutive factors
+    by stacking their rows.  Returns a generator of one tuple of bounded
+    partitions per grouping, 2**(m-1) in all.
+    """
+    return _groupings(_split_factors(k, _check_partition(parts)))
+
+
 def verify_split_product(k, parts, table=None):
     """Compare the sum for parts against every grouped product of its split
     factors.  Returns (factors, results) with one (grouping, matched) pair
@@ -354,10 +362,9 @@ def verify_split_product(k, parts, table=None):
     if table is None:
         table = {}
     target = k_schur(k, parts, table)
-    comps = split_components(k, to_core(k, parts)) if parts else []
-    factors = tuple(from_core(k, c) for c in comps)
+    factors = _split_factors(k, parts)
     results = []
-    for blocks in split_groupings(k, parts):
+    for blocks in _groupings(factors):
         prod = NilCoxSum.one(k)
         for block in blocks:
             prod = prod * k_schur(k, block, table)

@@ -7,7 +7,9 @@ through left descents where the library recurses through right descents,
 nil products compose windows and compare inversion counts where the library
 acts with reduced words, canonical decompositions peel maximal right sets one
 letter at a time where the library reads rows off the window-statistic code,
-and code counts come from a closed binomial formula.
+codes are counted position by position near each anchor where the library
+counts residue classes in closed form, and code counts come from a closed
+binomial formula.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import math
 from functools import lru_cache
 
 from affinecodes import AffinePermutation, NilCoxSum
-from affinecodes.codes import DECREASING, INCREASING, _peel, max_right_set
+from affinecodes.codes import DECREASING, INCREASING, IdentityInput
+from affinecodes.cyclic import d_word, u_word
 
 
 def bfs_levels(k, bound):
@@ -81,6 +84,41 @@ def nil_product(a, b):
     return NilCoxSum(a.k, {AffinePermutation(a.k, z): c for z, c in out.items()})
 
 
+def max_right_set(x, direction=DECREASING):
+    """The unique largest proper residue set peelable off the right of x.
+
+    For each right descent i the connected run is grown away from i (upward
+    for decreasing factors, downward for increasing) while the next letter
+    stays a descent of the partially peeled element, capped at k residues so
+    the set stays proper.  The union over descents is the answer.
+    """
+    n = x.n
+    descents = x.right_descents()
+    if not descents:
+        raise IdentityInput("identity has no right descents")
+    step = 1 if direction == DECREASING else -1
+    result = set()
+    for i in descents:
+        t = i
+        z = x.times_s(i)
+        size = 1
+        while size < n - 1 and (t + step) % n in z.right_descents():
+            t = (t + step) % n
+            z = z.times_s(t)
+            size += 1
+        result.update((i + step * s) % n for s in range(size))
+    return frozenset(result)
+
+
+def _peel(x, residues, direction):
+    """Remove the factor on residues from the right of x, one letter at a time."""
+    word = d_word(x.k, residues) if direction == DECREASING else u_word(x.k, residues)
+    for letter in reversed(word):
+        assert letter in x.right_descents(), "peeled letter must shorten the element"
+        x = x.times_s(letter)
+    return x
+
+
 def peeled_decomposition(x, direction, side):
     """Rows of the maximal decomposition, rightmost factor first, by peeling.
 
@@ -98,6 +136,41 @@ def peeled_decomposition(x, direction, side):
         rows.append(top)
         x = _peel(x, top, direction)
     return tuple(rows)
+
+
+def window_code(x, variant):
+    """One of the four codes, counted position by position.
+
+    Entry i of each variant counts:
+      rd: positions left of i+1 holding values above x(i+1)
+      ri: positions right of i holding values below x(i)
+      ld: positions left of the preimage of i holding values above i
+      li: positions right of the preimage of i+1 holding values below i+1
+    Preimages are found by search.  x(j) - j runs through the n values
+    x(r) - r, so a position j counted against the anchor p satisfies
+    |j - p| < (max window - min window) + n, and only that reach is scanned.
+    """
+    n = x.n
+    reach = max(x.window) - min(x.window) + n
+
+    def preimage(v):
+        return next(p for p in range(v - reach, v + reach + 1) if x.value_at(p) == v)
+
+    def left_above(p, v):
+        return sum(1 for j in range(p - reach, p) if x.value_at(j) > v)
+
+    def right_below(p, v):
+        return sum(1 for j in range(p + 1, p + reach + 1) if x.value_at(j) < v)
+
+    if variant == "rd":
+        return tuple(left_above(i + 1, x.value_at(i + 1)) for i in range(n))
+    if variant == "ri":
+        return tuple(right_below(i, x.value_at(i)) for i in range(n))
+    if variant == "ld":
+        return tuple(left_above(preimage(i), i) for i in range(n))
+    if variant == "li":
+        return tuple(right_below(preimage(i + 1), i + 1) for i in range(n))
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def naive_right_descents(window):

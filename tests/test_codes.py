@@ -21,7 +21,6 @@ from affinecodes.codes import (
     k_conjugate_perm,
     ld,
     li,
-    max_right_set,
     mirror_code,
     rd,
     ri,
@@ -52,7 +51,7 @@ from goldens import (
     K9_WORD_CUT3,
     K9_WORD_CUT6,
 )
-from oracles import bfs_levels, peeled_decomposition
+from oracles import bfs_levels, max_right_set, peeled_decomposition, window_code
 
 
 def golden():
@@ -108,14 +107,6 @@ def test_rank7_decomposition():
         assert rest.element().window == window
 
 
-def test_max_right_set():
-    x = golden()
-    assert max_right_set(x, DECREASING) == K3_RD_ROWS[0]
-    assert max_right_set(x, INCREASING) == K3_RI_ROWS[0]
-    with pytest.raises(IdentityInput):
-        max_right_set(AffinePermutation.identity(3))
-
-
 def test_code_of_rejects_nonmaximal_rows():
     rows = (frozenset({0}), frozenset({0}))
     with pytest.raises(NotMaximal):
@@ -128,6 +119,11 @@ def test_code_of_rejects_nonmaximal_rows():
 def test_two_row_maximize_golden():
     assert two_row_maximize(9, K9_B, K9_A) == (K9_B_NEW, K9_A_NEW)
     assert two_row_maximize(2, {0, 1}, {0, 1}) is ZERO
+
+
+def test_two_row_maximize_rejects_identity():
+    with pytest.raises(IdentityInput):
+        two_row_maximize(3, set(), set())
 
 
 def test_two_row_maximize_exhaustive_small():
@@ -221,6 +217,17 @@ def test_code_rows_match_peeled_rows(direction, side):
             for x in level:
                 decomp = canonical_decomposition(x, direction, side)
                 assert decomp.rows == peeled_decomposition(x, direction, side), x
+                checked += 1
+    assert checked == 1166
+
+
+@pytest.mark.parametrize("variant", ["rd", "ri", "ld", "li"])
+def test_affine_code_matches_window_count(variant):
+    checked = 0
+    for k in range(1, 5):
+        for level in bfs_levels(k, 7):
+            for x in level:
+                assert affine_code(x, variant) == window_code(x, variant), x
                 checked += 1
     assert checked == 1166
 
