@@ -152,8 +152,6 @@ def cmd_insert(parser, args):
     except NotReduced as stop:
         print(f"zero: word is not reduced at position {stop.position}", file=sys.stderr)
         return 2
-    recovered = reverse_insert(code, tableau)
-    assert recovered == letters, "reverse insertion must recover the word"
     cells = sorted(tableau.cells, key=lambda cl: cl[1])
     payload = {
         "code": list(code),

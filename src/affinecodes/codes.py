@@ -40,6 +40,10 @@ class NotContained(ValueError):
     """Skew pair (beta, alpha) needs alpha <= beta entrywise."""
 
 
+class NotACode(ValueError):
+    """A code needs nonnegative entries and at least one zero entry."""
+
+
 class _ZeroType:
     """Sentinel for a vanishing product in the nil-Coxeter monoid."""
 
@@ -223,7 +227,7 @@ def code_to_permutation(code):
     """
     n = len(code)
     if min(code) != 0:
-        raise ValueError("a code needs at least one zero column")
+        raise NotACode(f"{tuple(code)} needs nonnegative entries and a zero entry")
     z = code.index(0)
     columns = [(z + 1 + t) % n for t in range(n)]
     word = []

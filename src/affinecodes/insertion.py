@@ -2,27 +2,32 @@
 
 Multiplying an affine permutation by a single generator a_p on the right
 corresponds to inserting the residue p into the rows of its decreasing
-decomposition.  The carried residue drops by one each time it passes a row:
-it is included when neither it nor its predecessor is present, bumps the
-predecessor upward when only the predecessor is present, and passes through
-unchanged (a braid) when both are present.  Labelling each inserted cell with
-its step number yields a recording tableau; the map from reduced words to
+decomposition.  Row j holds residue r exactly when the code has the cell
+((r + j - 1) mod k+1, j), so the insertion state is one map from the cells of
+the code to labels.  The carried residue drops by one each time it passes a
+row: it is included when neither its cell nor its predecessor's cell is
+present, moves the predecessor's label into its own cell (a bump) when only
+the predecessor's cell is present, and passes through unchanged (a braid)
+when both are present.  Residue and row rise and fall together, so the
+carry's cell stays in column p and its predecessor's in column p - 1: the
+insertion climbs those two columns.  Labelling each included cell with its
+step number yields a recording tableau; the map from reduced words to
 recording tableaux of the final code is a bijection, inverted by
 reverse_insert.
 
-One in-place row step (_insert_into_rows) does every insertion.  insert_word
-carries mutable row sets through the whole word and builds its code once, at
-the end; insert converts one code to rows and back around a single step.
-Reduced words are walked with explicit stacks, so no path depends on the
-recursion limit.
+One in-place step (_insert_into_cells) does every insertion: insert_word runs
+it on the labelled cells of the whole word, insert on the unlabelled cells of
+one code, and both read the code back as the column counts of the cells.
+reverse_insert undoes steps on the same map.  Reduced words are walked with
+explicit stacks, so no path depends on the recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import DECREASING, CyclicDecomposition, _rows_of_code, code_of
-from .permutations import LetterOutOfRange, _check_word
+from .codes import NotACode
+from .permutations import LetterOutOfRange, RankTooSmall, _check_word
 
 
 class DescentViolation(ValueError):
@@ -69,40 +74,37 @@ class RecordingTableau:
         return dict(self.cells)
 
 
-def _code_of_rows(k, rows):
-    rows = tuple(frozenset(row) for row in rows)
-    return code_of(CyclicDecomposition(k, rows, DECREASING, "right"))
+def _insert_into_cells(cells, p, n, label):
+    """Insert residue p into a cell -> label map, bottom row first, in place.
 
-
-def _insert_into_rows(rows, p, n):
-    """Insert residue p into decreasing row sets, bottom row first, in place.
-
-    Returns (steps, final_cell) as in InsertionTrace.  Raises DescentViolation
-    at the first row holding the carried residue but not its predecessor; the
-    rows are then partly updated and must be discarded.
+    At row j the carried residue is p - j + 1, in cell (p, j), and its
+    predecessor is in cell (p - 1, j).  Returns (steps, final_cell) as in
+    InsertionTrace; the included cell gets label.  Raises DescentViolation at
+    the first row holding the carried residue but not its predecessor; the map
+    is then partly updated and must be discarded.
     """
+    left = (p - 1) % n
     steps = []
-    carry = p
-    for j, row in enumerate(rows, start=1):
-        prev = (carry - 1) % n
-        if prev in row:
-            if carry in row:
-                steps.append((j, "braid", carry))
-            else:
-                steps.append((j, "bump", carry))
-                row.remove(prev)
-                row.add(carry)
-            carry = prev
-        elif carry in row:
-            raise DescentViolation(f"residue {carry} at row {j}")
+    j = 1
+    while (left, j) in cells:
+        if (p, j) in cells:
+            steps.append((j, "braid", (p - j + 1) % n))
         else:
-            steps.append((j, "include", carry))
-            row.add(carry)
-            return steps, ((carry + j - 1) % n, j)
-    rows.append({carry})
-    j = len(rows)
-    steps.append((j, "include", carry))
-    return steps, ((carry + j - 1) % n, j)
+            steps.append((j, "bump", (p - j + 1) % n))
+            cells[p, j] = cells.pop((left, j))
+        j += 1
+    if (p, j) in cells:
+        raise DescentViolation(f"residue {(p - j + 1) % n} at row {j}")
+    steps.append((j, "include", (p - j + 1) % n))
+    cells[p, j] = label
+    return steps, (p, j)
+
+
+def _code_of_cells(cells, n):
+    code = [0] * n
+    for column, _ in cells:
+        code[column] += 1
+    return tuple(code)
 
 
 def insert(code, p):
@@ -110,14 +112,20 @@ def insert(code, p):
 
     Raises DescentViolation when p is a descent of the coded element, which
     is exactly when the insertion meets a row containing p but not p - 1,
-    and LetterOutOfRange when p is not a residue 0..k.
+    RankTooSmall when the code has fewer than two entries, LetterOutOfRange
+    when p is not a residue 0..k, and NotACode when an entry is negative or
+    no entry is zero.
     """
     n = len(code)
+    if n < 2:
+        raise RankTooSmall(f"a code needs at least two entries, got {n}")
     if not 0 <= p < n:
         raise LetterOutOfRange(f"letter {p} is not in 0..{n - 1}")
-    rows = [set(row) for row in _rows_of_code(code, DECREASING)]
-    steps, cell = _insert_into_rows(rows, p, n)
-    return _code_of_rows(n - 1, rows), InsertionTrace(tuple(steps), cell)
+    if min(code) != 0:
+        raise NotACode(f"{tuple(code)} needs nonnegative entries and a zero entry")
+    cells = {(i, j): None for i in range(n) for j in range(1, code[i] + 1)}
+    steps, cell = _insert_into_cells(cells, p, n, None)
+    return _code_of_cells(cells, n), InsertionTrace(tuple(steps), cell)
 
 
 def insert_word(k, word):
@@ -128,63 +136,46 @@ def insert_word(k, word):
     """
     word = _check_word(k, word)
     n = k + 1
-    rows = []
-    labels = {}
+    cells = {}
     for step, letter in enumerate(word):
         try:
-            steps, cell = _insert_into_rows(rows, letter, n)
+            _insert_into_cells(cells, letter, n, step + 1)
         except DescentViolation:
             raise NotReduced(step) from None
-        for j, action, carry in steps:
-            if action == "bump":
-                source = ((carry + j - 2) % n, j)
-                labels[((carry + j - 1) % n, j)] = labels.pop(source)
-        labels[cell] = step + 1
-    return _code_of_rows(k, rows), RecordingTableau(k, tuple(sorted(labels.items())))
+    return _code_of_cells(cells, n), RecordingTableau(k, tuple(sorted(cells.items())))
 
 
 def reverse_insert(code, tableau):
     """Recover the reduced word that produced (code, tableau).
 
-    Peels the highest label: its cell fixes the included residue, and walking
-    back down the rows undoes bumps and braids, raising NotStandard whenever
-    the cells cannot have recorded an insertion.
+    Peels the highest label: its column is the inserted letter, and walking
+    back down that column and the one before it undoes bumps and braids,
+    raising NotStandard whenever the cells cannot have recorded an insertion.
     """
     n = len(code)
-    labels = tableau.as_dict()
-    if sorted(labels.values()) != list(range(1, len(labels) + 1)):
+    cells = tableau.as_dict()
+    if sorted(cells.values()) != list(range(1, len(cells) + 1)):
         raise NotStandard("labels must be 1..N without repeats")
     diagram = {(i, j) for i in range(n) for j in range(1, code[i] + 1)}
-    if set(labels) != diagram:
+    if set(cells) != diagram:
         raise NotStandard("labelled cells differ from the cells of the code")
-    rows = list(_rows_of_code(code, DECREASING))
+    # Labels are unique, so this inverts cells; undone bumps keep it current.
+    where = {label: cell for cell, label in cells.items()}
     word = []
-    for step in range(len(labels), 0, -1):
-        (col, j), = (cell for cell, lab in labels.items() if lab == step)
-        carry = (col - j + 1) % n
-        row = rows[j - 1]
-        if carry not in row or (carry - 1) % n in row:
+    for step in range(len(cells), 0, -1):
+        p, j = where.pop(step)
+        left = (p - 1) % n
+        if (left, j) in cells:
             raise NotStandard(f"label {step} does not sit on an includable cell")
-        rows[j - 1] = row - {carry}
-        del labels[(col, j)]
+        del cells[p, j]
         for t in range(j - 1, 0, -1):
-            carry = (carry + 1) % n
-            row = rows[t - 1]
-            has = carry in row
-            has_prev = (carry - 1) % n in row
-            if has and not has_prev:
-                rows[t - 1] = row - {carry} | {(carry - 1) % n}
-                moved = labels.pop(((carry + t - 1) % n, t))
-                labels[(((carry - 1) % n + t - 1) % n, t)] = moved
-            elif has and has_prev:
-                pass
-            else:
+            if (p, t) not in cells:
                 raise NotStandard(f"undoing label {step} fails at row {t}")
-        word.append(carry)
-        while rows and not rows[-1]:
-            rows.pop()
-    assert not rows, "all cells must be consumed"
-    return list(reversed(word))
+            if (left, t) not in cells:
+                moved = cells[left, t] = cells.pop((p, t))
+                where[moved] = (left, t)
+        word.append(p)
+    return word[::-1]
 
 
 def enumerate_reduced_words(x, bound=None):

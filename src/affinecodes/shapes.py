@@ -70,9 +70,7 @@ def to_core(k, bounded):
                 break
             shift += 1
         core[r - 1] = lam + shift
-    result = tuple(core)
-    assert from_core(k, result) == bounded, "boundary must left-justify back"
-    return result
+    return tuple(core)
 
 
 def from_core(k, core):
@@ -93,21 +91,16 @@ def from_core(k, core):
     return tuple(bounded)
 
 
-def k_boundary(k, core, h=None):
-    """Inner shape of the cells with hook above h (default k); pairs with core.
+def k_boundary(k, core):
+    """Inner shape of the cells with hook above k; pairs with core.
 
-    Only h = k and h = k + 1 are meaningful cutoffs; they agree on cores.
     Returns the inner partition, so the boundary is the skew shape
     core / inner.
     """
-    if h is None:
-        h = k
-    if h not in (k, k + 1):
-        raise ValueError(f"cutoff must be {k} or {k + 1}, got {h}")
     core = _check_partition(core)
     inner = []
     for r in range(1, len(core) + 1):
-        inner.append(sum(1 for c in range(1, core[r - 1] + 1) if hook(core, r, c) > h))
+        inner.append(sum(1 for c in range(1, core[r - 1] + 1) if hook(core, r, c) > k))
     while inner and inner[-1] == 0:
         inner.pop()
     _check_partition(inner)

@@ -8,8 +8,9 @@ nil products compose windows and compare inversion counts where the library
 acts with reduced words, canonical decompositions peel maximal right sets one
 letter at a time where the library reads rows off the window-statistic code,
 codes are counted position by position near each anchor where the library
-counts residue classes in closed form, and code counts come from a closed
-binomial formula.
+counts residue classes in closed form, insertion carries row sets of
+residues and fixes labels up after each step where the library moves labels
+on one cell map, and code counts come from a closed binomial formula.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import lru_cache
 from affinecodes import AffinePermutation, NilCoxSum
 from affinecodes.codes import DECREASING, INCREASING, IdentityInput
 from affinecodes.cyclic import d_word, u_word
+from affinecodes.insertion import DescentViolation, NotReduced, NotStandard, RecordingTableau
 
 
 def bfs_levels(k, bound):
@@ -171,6 +173,108 @@ def window_code(x, variant):
     if variant == "li":
         return tuple(right_below(preimage(i + 1), i + 1) for i in range(n))
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def _rows_of_code(code):
+    """Decreasing row sets, bottom row first: row j holds (i - j + 1) mod n
+    for every column i with code[i] >= j."""
+    n = len(code)
+    return [
+        {(i - j + 1) % n for i in range(n) if code[i] >= j}
+        for j in range(1, max(code, default=0) + 1)
+    ]
+
+
+def _code_of_rows(n, rows):
+    """Column i counts the rows j holding residue (i - j + 1) mod n."""
+    return tuple(
+        sum(1 for j, row in enumerate(rows, start=1) if (i - j + 1) % n in row)
+        for i in range(n)
+    )
+
+
+def row_insert(rows, p, n):
+    """Insert residue p into decreasing row sets, bottom row first, in place.
+
+    Returns (steps, final_cell) as in InsertionTrace.  Raises DescentViolation
+    at the first row holding the carried residue but not its predecessor.
+    """
+    steps = []
+    carry = p
+    for j, row in enumerate(rows, start=1):
+        prev = (carry - 1) % n
+        if prev in row:
+            if carry in row:
+                steps.append((j, "braid", carry))
+            else:
+                steps.append((j, "bump", carry))
+                row.remove(prev)
+                row.add(carry)
+            carry = prev
+        elif carry in row:
+            raise DescentViolation(f"residue {carry} at row {j}")
+        else:
+            steps.append((j, "include", carry))
+            row.add(carry)
+            return steps, ((carry + j - 1) % n, j)
+    rows.append({carry})
+    j = len(rows)
+    steps.append((j, "include", carry))
+    return steps, ((carry + j - 1) % n, j)
+
+
+def row_insert_word(k, word):
+    """(code, RecordingTableau) of a word, carrying row sets and moving each
+    bumped label after its step; NotReduced at the first descent."""
+    n = k + 1
+    rows = []
+    labels = {}
+    for step, letter in enumerate(word):
+        try:
+            steps, cell = row_insert(rows, letter, n)
+        except DescentViolation:
+            raise NotReduced(step) from None
+        for j, action, carry in steps:
+            if action == "bump":
+                labels[((carry + j - 1) % n, j)] = labels.pop(((carry + j - 2) % n, j))
+        labels[cell] = step + 1
+    return _code_of_rows(n, rows), RecordingTableau(k, tuple(sorted(labels.items())))
+
+
+def scanning_reverse_insert(code, tableau):
+    """The word recorded by (code, tableau), undoing steps on row sets and
+    finding each label's cell by scanning every label; NotStandard when the
+    labels record no insertion."""
+    n = len(code)
+    labels = tableau.as_dict()
+    if sorted(labels.values()) != list(range(1, len(labels) + 1)):
+        raise NotStandard("labels must be 1..N without repeats")
+    diagram = {(i, j) for i in range(n) for j in range(1, code[i] + 1)}
+    if set(labels) != diagram:
+        raise NotStandard("labelled cells differ from the cells of the code")
+    rows = _rows_of_code(code)
+    word = []
+    for step in range(len(labels), 0, -1):
+        (col, j), = (cell for cell, lab in labels.items() if lab == step)
+        carry = (col - j + 1) % n
+        row = rows[j - 1]
+        if carry not in row or (carry - 1) % n in row:
+            raise NotStandard(f"label {step} does not sit on an includable cell")
+        row.remove(carry)
+        del labels[(col, j)]
+        for t in range(j - 1, 0, -1):
+            carry = (carry + 1) % n
+            row = rows[t - 1]
+            if carry not in row:
+                raise NotStandard(f"undoing label {step} fails at row {t}")
+            if (carry - 1) % n not in row:
+                row.remove(carry)
+                row.add((carry - 1) % n)
+                moved = labels.pop(((carry + t - 1) % n, t))
+                labels[((carry + t - 2) % n, t)] = moved
+        word.append(carry)
+    assert not labels and not any(rows), "all cells must be consumed"
+    return word[::-1]
 
 
 def naive_right_descents(window):

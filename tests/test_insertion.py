@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from affinecodes import AffinePermutation
 from affinecodes.codes import affine_code, code_to_permutation, rd
-from affinecodes import LetterOutOfRange, RankTooSmall
+from affinecodes import LetterOutOfRange, NotACode, RankTooSmall
 from affinecodes.insertion import (
     BoundExceeded,
     DescentViolation,
@@ -18,7 +19,13 @@ from affinecodes.insertion import (
     reverse_insert,
 )
 from goldens import INSERT_CODE, INSERT_FIRST_ROW, INSERT_LABELS, INSERT_WORD
-from oracles import bfs_levels, left_reduced_word_count, naive_right_descents
+from oracles import (
+    bfs_levels,
+    left_reduced_word_count,
+    naive_right_descents,
+    row_insert_word,
+    scanning_reverse_insert,
+)
 
 
 def golden_tableau():
@@ -55,6 +62,11 @@ def test_word_validation():
     for letter in (9, 4, -1):
         with pytest.raises(LetterOutOfRange):
             insert((0, 0, 0, 0), letter)
+    for code, letter in (((1, 1, 1, 1), 0), ((2, 0, -1, 0), 1)):
+        with pytest.raises(NotACode):
+            insert(code, letter)
+    with pytest.raises(RankTooSmall):
+        insert((0,), 0)
 
 
 def test_not_reduced_position():
@@ -174,10 +186,14 @@ def _fold_insert(k, word):
     return code, RecordingTableau(k, tuple(sorted(labels.items())))
 
 
+def _long_word(k):
+    rng = random.Random(f"long-insertion/{k}")
+    return _random_reduced_word(k, rng.randint(300, 600), rng)
+
+
 @pytest.mark.parametrize("k", range(3, 9))
 def test_long_words_match_letter_by_letter_insertion(k):
-    rng = random.Random(f"long-insertion/{k}")
-    word = _random_reduced_word(k, rng.randint(300, 600), rng)
+    word = _long_word(k)
     x = AffinePermutation.from_word(k, word)
     code, tableau = insert_word(k, word)
     assert (code, tableau) == _fold_insert(k, word)
@@ -186,3 +202,42 @@ def test_long_words_match_letter_by_letter_insertion(k):
     with pytest.raises(NotReduced) as info:
         insert_word(k, word + word[-1:])
     assert info.value.position == len(word)
+
+
+def _outcome(run, *args):
+    """run(*args), or the type and position of the NotReduced or NotStandard
+    it raises."""
+    try:
+        return run(*args)
+    except (NotReduced, NotStandard) as err:
+        return type(err), getattr(err, "position", None)
+
+
+def _assert_insertion_matches_oracle(k, word):
+    got = _outcome(insert_word, k, word)
+    assert got == _outcome(row_insert_word, k, word)
+    if isinstance(got[1], RecordingTableau):
+        assert reverse_insert(*got) == scanning_reverse_insert(*got) == word
+
+
+def test_cell_map_matches_row_set_oracle():
+    for k in (1, 2, 3):
+        for length in range(6):
+            for word in itertools.product(range(k + 1), repeat=length):
+                _assert_insertion_matches_oracle(k, list(word))
+    for k in range(3, 9):
+        word = _long_word(k)
+        _assert_insertion_matches_oracle(k, word)
+        _assert_insertion_matches_oracle(k, word + word[-1:])
+    cells = sorted(INSERT_LABELS)
+    for a, b in itertools.combinations(cells, 2):
+        labels = dict(INSERT_LABELS)
+        labels[a], labels[b] = labels[b], labels[a]
+        tableau = RecordingTableau(3, tuple(sorted(labels.items())))
+        assert _outcome(reverse_insert, INSERT_CODE, tableau) == _outcome(
+            scanning_reverse_insert, INSERT_CODE, tableau
+        )
+    as_floats = {cell: float(label) for cell, label in INSERT_LABELS.items()}
+    tableau = RecordingTableau(3, tuple(sorted(as_floats.items())))
+    assert reverse_insert(INSERT_CODE, tableau) == INSERT_WORD
+    assert scanning_reverse_insert(INSERT_CODE, tableau) == INSERT_WORD

@@ -56,7 +56,7 @@ def test_core_goldens():
 
 
 def test_core_round_trip_small():
-    for k in (2, 3):
+    for k in range(2, 7):
         for size in range(1, 8):
             for lam in bounded_partitions(k, size):
                 core = to_core(k, lam)
@@ -82,13 +82,6 @@ def test_not_a_core():
 def test_to_core_rejects_unbounded():
     with pytest.raises(ValueError):
         to_core(2, (3,))
-
-
-def test_k_boundary_cutoffs():
-    core = CORE_K3[1]
-    assert k_boundary(3, core) == k_boundary(3, core, h=4)
-    with pytest.raises(ValueError):
-        k_boundary(3, core, h=5)
 
 
 def test_k_conjugate_goldens():
