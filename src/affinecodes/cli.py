@@ -1,13 +1,15 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 on usage or value errors, 2 when a requested
-product or insertion is zero (the input word is not reduced).
+Exit codes: 0 on success, 1 on usage or value errors and when the reader
+closes standard output early (no traceback), 2 when a requested product or
+insertion is zero (the input word is not reduced).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .codes import (
@@ -406,6 +408,10 @@ def main(argv=None):
         return args.run(parser, args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

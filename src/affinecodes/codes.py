@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclic import d_word, u_word
-from .permutations import AffinePermutation, is_reduced
+from .permutations import AffinePermutation, LetterOutOfRange, RankTooSmall, is_reduced
 
 
 class IdentityInput(ValueError):
@@ -104,14 +104,6 @@ def canonical_decomposition(x, direction=DECREASING, side="right"):
     return CyclicDecomposition(x.k, rows, direction, side)
 
 
-def filling_residue(k, direction, column, row):
-    """Residue marking the cell at (column, row), rows counted from 1."""
-    n = k + 1
-    if direction == DECREASING:
-        return (column - row + 1) % n
-    return (column + row - 1) % n
-
-
 def _rows_of_code(code, direction):
     """Row sets, bottom row first, of the right decomposition with this code.
 
@@ -121,14 +113,17 @@ def _rows_of_code(code, direction):
     """
     n = len(code)
     shift = -1 if direction == DECREASING else 1
-    return tuple(
+    # A list first: tuples grown from generators of hundreds of rows kept
+    # resident memory creeping over repeated calls.
+    return tuple([
         frozenset((i + shift * (j - 1)) % n for i in range(n) if code[i] >= j)
         for j in range(1, max(code, default=0) + 1)
-    )
+    ])
 
 
 def code_of(decomp):
-    """Code vector of a maximal decomposition; NotMaximal if rows disobey it.
+    """Code vector of a maximal decomposition; NotMaximal if rows disobey it,
+    LetterOutOfRange if a row holds a residue outside 0..k.
 
     Right-side maximality means each row is contained in the previous row
     shifted one step toward it (down for decreasing, up for increasing).
@@ -142,18 +137,18 @@ def code_of(decomp):
         rows = tuple(reversed(rows))
         direction = INCREASING if direction == DECREASING else DECREASING
     shift = -1 if direction == DECREASING else 1
+    # Containment keeps every later row inside 0..k.
+    if rows and not all(0 <= r < n for r in rows[0]):
+        raise LetterOutOfRange(f"row {set(rows[0])} holds a residue outside 0..{n - 1}")
     for j in range(len(rows) - 1):
         allowed = {(r + shift) % n for r in rows[j]}
         if not set(rows[j + 1]) <= allowed:
             raise NotMaximal(f"row {j + 2} is not contained in row {j + 1} shifted")
-    return tuple(
-        sum(
-            1
-            for j, row in enumerate(rows, start=1)
-            if filling_residue(decomp.k, direction, i, j) in row
-        )
-        for i in range(n)
-    )
+    code = [0] * n
+    for j, row in enumerate(rows):
+        for r in row:
+            code[(r - shift * j) % n] += 1
+    return tuple(code)
 
 
 def _count_before_greater(x, position, threshold):
@@ -218,6 +213,14 @@ def code_descents(code):
     return frozenset(i for i in range(n) if code[(i - 1) % n] < code[i])
 
 
+def _check_code(code):
+    """RankTooSmall below two entries, NotACode for a negative or no zero entry."""
+    if len(code) < 2:
+        raise RankTooSmall(f"a code needs at least two entries, got {len(code)}")
+    if min(code) != 0:
+        raise NotACode(f"{tuple(code)} needs nonnegative entries and a zero entry")
+
+
 def code_to_permutation(code):
     """The affine permutation whose right decreasing decomposition has this code.
 
@@ -225,9 +228,8 @@ def code_to_permutation(code):
     row down, each right to left in the cut order, and the resulting word is
     multiplied out.
     """
+    _check_code(code)
     n = len(code)
-    if min(code) != 0:
-        raise NotACode(f"{tuple(code)} needs nonnegative entries and a zero entry")
     z = code.index(0)
     columns = [(z + 1 + t) % n for t in range(n)]
     word = []

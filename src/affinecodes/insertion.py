@@ -1,33 +1,33 @@
-"""Row insertion on codes, recording tableaux, and reduced-word enumeration.
+"""Column insertion on codes, recording tableaux, and reduced-word enumeration.
 
 Multiplying an affine permutation by a single generator a_p on the right
-corresponds to inserting the residue p into the rows of its decreasing
-decomposition.  Row j holds residue r exactly when the code has the cell
-((r + j - 1) mod k+1, j), so the insertion state is one map from the cells of
-the code to labels.  The carried residue drops by one each time it passes a
-row: it is included when neither its cell nor its predecessor's cell is
-present, moves the predecessor's label into its own cell (a bump) when only
-the predecessor's cell is present, and passes through unchanged (a braid)
-when both are present.  Residue and row rise and fall together, so the
-carry's cell stays in column p and its predecessor's in column p - 1: the
-insertion climbs those two columns.  Labelling each included cell with its
-step number yields a recording tableau; the map from reduced words to
-recording tableaux of the final code is a bijection, inverted by
-reverse_insert.
+inserts the residue p into its right decreasing code alpha.  The rule touches
+two columns: p is a descent exactly when alpha_p > alpha_{p-1}; otherwise
+(alpha_{p-1}, alpha_p) becomes (alpha_p, alpha_{p-1} + 1).  Read row by row,
+rows 1..alpha_p braid, rows alpha_p + 1..alpha_{p-1} bump, and the new cell
+is included at row alpha_{p-1} + 1; cell (i, j) holds residue (i - j + 1)
+mod k+1.  The insertion state is the code itself, as a list of column
+heights, and one list of label slots per column: column i's labels, bottom
+first, fill the first alpha_i slots.  The labels of column p - 1 above height
+alpha_p move onto column p and the new label goes on top.  Labelling each
+included cell with its step number yields a recording tableau; the map from
+reduced words to recording tableaux of the final code is a bijection,
+inverted by reverse_insert.
 
-One in-place step (_insert_into_cells) does every insertion: insert_word runs
-it on the labelled cells of the whole word, insert on the unlabelled cells of
-one code, and both read the code back as the column counts of the cells.
-reverse_insert undoes steps on the same map.  Reduced words are walked with
-explicit stacks, so no path depends on the recursion limit.
+One in-place step (_insert_into_columns) does every insertion: insert_word
+runs it on the labelled columns of the whole word and insert on unlabelled
+columns of one code.  reverse_insert undoes steps on the same heights and
+columns.  Columns are allocated once at full height: resizing them on every
+step kept resident memory creeping.  Reduced words are walked with explicit
+stacks, so no path depends on the recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import NotACode
-from .permutations import LetterOutOfRange, RankTooSmall, _check_word
+from .codes import _check_code
+from .permutations import LetterOutOfRange, _check_word
 
 
 class DescentViolation(ValueError):
@@ -74,58 +74,44 @@ class RecordingTableau:
         return dict(self.cells)
 
 
-def _insert_into_cells(cells, p, n, label):
-    """Insert residue p into a cell -> label map, bottom row first, in place.
-
-    At row j the carried residue is p - j + 1, in cell (p, j), and its
-    predecessor is in cell (p - 1, j).  Returns (steps, final_cell) as in
-    InsertionTrace; the included cell gets label.  Raises DescentViolation at
-    the first row holding the carried residue but not its predecessor; the map
-    is then partly updated and must be discarded.
+def _insert_into_columns(code, columns, p, label):
+    """Insert residue p in place into code, a list of column heights, and
+    columns, where column i keeps its labels bottom first in its first code[i]
+    slots and has room for every label still to come.  With c = code[p] and
+    d = code[p - 1], c > d is a descent: DescentViolation, nothing changed.
+    Otherwise the labels of column p - 1 above height c move onto column p,
+    label goes on top, and (code[p - 1], code[p]) becomes (c, d + 1).
+    Returns (c, d): rows 1..c braid, rows c+1..d bump, row d+1 includes.
     """
-    left = (p - 1) % n
-    steps = []
-    j = 1
-    while (left, j) in cells:
-        if (p, j) in cells:
-            steps.append((j, "braid", (p - j + 1) % n))
-        else:
-            steps.append((j, "bump", (p - j + 1) % n))
-            cells[p, j] = cells.pop((left, j))
-        j += 1
-    if (p, j) in cells:
-        raise DescentViolation(f"residue {(p - j + 1) % n} at row {j}")
-    steps.append((j, "include", (p - j + 1) % n))
-    cells[p, j] = label
-    return steps, (p, j)
-
-
-def _code_of_cells(cells, n):
-    code = [0] * n
-    for column, _ in cells:
-        code[column] += 1
-    return tuple(code)
+    c, d = code[p], code[p - 1]
+    if c > d:
+        raise DescentViolation(f"residue {(p - d) % len(code)} at row {d + 1}")
+    columns[p][c:d] = columns[p - 1][c:d]
+    columns[p][d] = label
+    code[p - 1], code[p] = c, d + 1
+    return c, d
 
 
 def insert(code, p):
     """Insert residue p into a code; returns (new code, trace).
 
-    Raises DescentViolation when p is a descent of the coded element, which
-    is exactly when the insertion meets a row containing p but not p - 1,
-    RankTooSmall when the code has fewer than two entries, LetterOutOfRange
-    when p is not a residue 0..k, and NotACode when an entry is negative or
-    no entry is zero.
+    Raises DescentViolation when p is a descent of the coded element, that
+    is when column p is taller than column p - 1, RankTooSmall when the code
+    has fewer than two entries, LetterOutOfRange when p is not a residue
+    0..k, and NotACode when an entry is negative or no entry is zero.
     """
+    _check_code(code)
     n = len(code)
-    if n < 2:
-        raise RankTooSmall(f"a code needs at least two entries, got {n}")
     if not 0 <= p < n:
         raise LetterOutOfRange(f"letter {p} is not in 0..{n - 1}")
-    if min(code) != 0:
-        raise NotACode(f"{tuple(code)} needs nonnegative entries and a zero entry")
-    cells = {(i, j): None for i in range(n) for j in range(1, code[i] + 1)}
-    steps, cell = _insert_into_cells(cells, p, n, None)
-    return _code_of_cells(cells, n), InsertionTrace(tuple(steps), cell)
+    new = list(code)
+    columns = [[None] * (max(code) + 1) for _ in range(n)]
+    c, d = _insert_into_columns(new, columns, p, None)
+    steps = [
+        (j, "braid" if j <= c else "bump", (p - j + 1) % n) for j in range(1, d + 1)
+    ]
+    steps.append((d + 1, "include", (p - d) % n))
+    return tuple(new), InsertionTrace(tuple(steps), (p, d + 1))
 
 
 def insert_word(k, word):
@@ -135,23 +121,31 @@ def insert_word(k, word):
     RankTooSmall for k < 1 and LetterOutOfRange for a letter outside 0..k.
     """
     word = _check_word(k, word)
-    n = k + 1
-    cells = {}
-    for step, letter in enumerate(word):
+    code = [0] * (k + 1)
+    columns = [[None] * len(word) for _ in code]
+    for step, letter in enumerate(word, start=1):
         try:
-            _insert_into_cells(cells, letter, n, step + 1)
+            _insert_into_columns(code, columns, letter, step)
         except DescentViolation:
-            raise NotReduced(step) from None
-    return _code_of_cells(cells, n), RecordingTableau(k, tuple(sorted(cells.items())))
+            raise NotReduced(step - 1) from None
+    cells = [
+        ((i, j + 1), column[j])
+        for i, column in enumerate(columns)
+        for j in range(code[i])
+    ]
+    return tuple(code), RecordingTableau(k, tuple(cells))
 
 
 def reverse_insert(code, tableau):
     """Recover the reduced word that produced (code, tableau).
 
-    Peels the highest label: its column is the inserted letter, and walking
-    back down that column and the one before it undoes bumps and braids,
-    raising NotStandard whenever the cells cannot have recorded an insertion.
+    The highest label must top a column p taller than column p - 1; p is the
+    inserted letter.  Dropping that label and moving column p's labels above
+    the height of column p - 1 back onto it undoes the step.  Raises
+    NotStandard whenever the labels cannot have recorded an insertion, and
+    RankTooSmall or NotACode when code is not a code.
     """
+    _check_code(code)
     n = len(code)
     cells = tableau.as_dict()
     if sorted(cells.values()) != list(range(1, len(cells) + 1)):
@@ -159,21 +153,16 @@ def reverse_insert(code, tableau):
     diagram = {(i, j) for i in range(n) for j in range(1, code[i] + 1)}
     if set(cells) != diagram:
         raise NotStandard("labelled cells differ from the cells of the code")
-    # Labels are unique, so this inverts cells; undone bumps keep it current.
-    where = {label: cell for cell, label in cells.items()}
+    heights = list(code)
+    columns = [[cells.get((i, j)) for j in range(1, max(code) + 1)] for i in range(n)]
     word = []
     for step in range(len(cells), 0, -1):
-        p, j = where.pop(step)
-        left = (p - 1) % n
-        if (left, j) in cells:
-            raise NotStandard(f"label {step} does not sit on an includable cell")
-        del cells[p, j]
-        for t in range(j - 1, 0, -1):
-            if (p, t) not in cells:
-                raise NotStandard(f"undoing label {step} fails at row {t}")
-            if (left, t) not in cells:
-                moved = cells[left, t] = cells.pop((p, t))
-                where[moved] = (left, t)
+        p = next((i for i, h in enumerate(heights) if h and columns[i][h - 1] == step), None)
+        if p is None or heights[p - 1] >= heights[p]:
+            raise NotStandard(f"label {step} does not top a column taller than its left")
+        c, d = heights[p - 1], heights[p] - 1
+        columns[p - 1][c:d] = columns[p][c:d]
+        heights[p - 1], heights[p] = d, c
         word.append(p)
     return word[::-1]
 

@@ -217,3 +217,21 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["failures"] == 0
+
+
+def test_closed_pipe_exits_without_traceback():
+    # About 300 KB of output, far more than a 64 KiB pipe buffer holds, so the
+    # command is still writing when the reader closes the pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affinecodes.cli", "kschur", "--k", "6",
+         "--partition", "6,5,4,3,2,1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first.startswith(b"1 [")
+    assert b"Traceback" not in err
+    assert err == b""

@@ -3,13 +3,14 @@ from itertools import combinations, product
 
 import pytest
 
-from affinecodes import AffinePermutation
+from affinecodes import AffinePermutation, LetterOutOfRange, RankTooSmall
 from affinecodes.codes import (
     DECREASING,
     INCREASING,
     ZERO,
     CyclicDecomposition,
     IdentityInput,
+    NotACode,
     NotContained,
     NotMaximal,
     affine_code,
@@ -114,6 +115,19 @@ def test_code_of_rejects_nonmaximal_rows():
     rows = (frozenset({2}), frozenset({1}))
     with pytest.raises(NotMaximal):
         CyclicDecomposition(3, rows, INCREASING, "right").code()
+    # Left rows are checked reversed, against the opposite direction.
+    rows = (frozenset({1}), frozenset({0, 1}))
+    assert CyclicDecomposition(3, rows, DECREASING, "left").code() == (2, 1, 0, 0)
+    with pytest.raises(NotMaximal):
+        CyclicDecomposition(3, rows[::-1], DECREASING, "left").code()
+
+
+def test_code_of_rejects_residues_out_of_range():
+    for row in ({4}, {0, 4}, {-1}):
+        for side in ("right", "left"):
+            decomp = CyclicDecomposition(3, (frozenset(row),), DECREASING, side)
+            with pytest.raises(LetterOutOfRange):
+                decomp.code()
 
 
 def test_two_row_maximize_golden():
@@ -151,8 +165,13 @@ def test_two_row_maximize_exhaustive_small():
 
 def test_code_to_permutation_golden():
     assert code_to_permutation(K3_RD) == golden()
-    with pytest.raises(ValueError):
+    with pytest.raises(NotACode):
         code_to_permutation((1, 2, 1))
+    with pytest.raises(NotACode):
+        code_to_permutation((-1, 0, 1))
+    for code in ((), (0,)):
+        with pytest.raises(RankTooSmall):
+            code_to_permutation(code)
 
 
 def test_flattenings_agree():

@@ -9,6 +9,7 @@ from affinecodes import LetterOutOfRange, NotACode, RankTooSmall
 from affinecodes.insertion import (
     BoundExceeded,
     DescentViolation,
+    InsertionTrace,
     NotReduced,
     NotStandard,
     RecordingTableau,
@@ -20,9 +21,12 @@ from affinecodes.insertion import (
 )
 from goldens import INSERT_CODE, INSERT_FIRST_ROW, INSERT_LABELS, INSERT_WORD
 from oracles import (
+    _code_of_rows,
+    _rows_of_code,
     bfs_levels,
     left_reduced_word_count,
     naive_right_descents,
+    row_insert,
     row_insert_word,
     scanning_reverse_insert,
 )
@@ -67,6 +71,11 @@ def test_word_validation():
             insert(code, letter)
     with pytest.raises(RankTooSmall):
         insert((0,), 0)
+    for code in ((), (0,)):
+        with pytest.raises(RankTooSmall):
+            reverse_insert(code, RecordingTableau(0, ()))
+    with pytest.raises(NotACode):
+        reverse_insert((-1, 0, 1), RecordingTableau(2, (((2, 1), 1),)))
 
 
 def test_not_reduced_position():
@@ -241,3 +250,40 @@ def test_cell_map_matches_row_set_oracle():
     tableau = RecordingTableau(3, tuple(sorted(as_floats.items())))
     assert reverse_insert(INSERT_CODE, tableau) == INSERT_WORD
     assert scanning_reverse_insert(INSERT_CODE, tableau) == INSERT_WORD
+
+
+def _codes(k, most):
+    """Every code of rank k with at most `most` cells."""
+    return [
+        code
+        for code in itertools.product(range(most + 1), repeat=k + 1)
+        if 0 in code and sum(code) <= most
+    ]
+
+
+def test_reverse_insert_matches_scanning_oracle_on_every_labelling():
+    for k in (1, 2, 3):
+        for code in _codes(k, 5):
+            diagram = [(i, j) for i in range(k + 1) for j in range(1, code[i] + 1)]
+            for labels in itertools.permutations(range(1, len(diagram) + 1)):
+                tableau = RecordingTableau(k, tuple(zip(diagram, labels)))
+                got = _outcome(reverse_insert, code, tableau)
+                assert got == _outcome(scanning_reverse_insert, code, tableau)
+                if isinstance(got, list):
+                    assert insert_word(k, got) == (code, tableau)
+
+
+def test_insert_matches_row_set_oracle_on_every_small_code():
+    for k in (1, 2, 3, 4):
+        n = k + 1
+        for code in _codes(k, 6):
+            for p in range(n):
+                rows = _rows_of_code(code)
+                try:
+                    steps, cell = row_insert(rows, p, n)
+                except DescentViolation:
+                    with pytest.raises(DescentViolation):
+                        insert(code, p)
+                    continue
+                trace = InsertionTrace(tuple(steps), cell)
+                assert insert(code, p) == (_code_of_rows(n, rows), trace)
