@@ -28,7 +28,7 @@ from .insertion import (
     insert_word,
     reverse_insert,
 )
-from .nilcox import dominant_summand, k_schur, verify_split_product
+from .nilcox import NilCoxSum, dominant_summand, k_schur, verify_split_product
 from .permutations import AffinePermutation, is_reduced
 from .shapes import (
     from_core,
@@ -230,17 +230,15 @@ def cmd_reduced_words(parser, args):
 def cmd_kschur(parser, args):
     parts = _partition(parser, args)
     if args.mode == "expand":
-        total = k_schur(args.k, parts)
-        support = total.support()
+        # Every term has length |parts|, so window order is support() order
+        # without computing a length per term.
+        terms = sorted(k_schur(args.k, parts).terms().items(), key=lambda t: t[0].window)
         payload = {
             "partition": list(parts),
-            "terms": [
-                {"window": list(x.window), "coefficient": total.coefficient(x)}
-                for x in support
-            ],
+            "terms": [{"window": list(x.window), "coefficient": c} for x, c in terms],
         }
-        lines = [f"{total.coefficient(x)} {list(x.window)}" for x in support]
-        lines.append(f"terms: {len(support)}")
+        lines = [f"{c} {list(x.window)}" for x, c in terms]
+        lines.append(f"terms: {len(terms)}")
         _emit(args, payload, lines)
         return 0
     factors, results = verify_split_product(args.k, parts)
@@ -291,6 +289,11 @@ def _selftest_checks():
         total = k_schur(2, (1, 1))
         return len(total) == 3 and dominant_summand(total) == grassmannian_perm(2, (1, 1))
 
+    def check_kschur_rotation():
+        total = k_schur(3, (2, 1, 1))
+        rotated = NilCoxSum(3, {x.dynkin_rotate(): c for x, c in total.terms().items()})
+        return rotated == total and min(total.terms().values()) > 0
+
     def check_normalize():
         form = normalize_ud(6, frozenset({3, 4, 5, 6}), frozenset({0, 1, 2, 3, 4}))
         return form.a_prime == frozenset({1, 2, 3, 4, 5}) \
@@ -306,6 +309,7 @@ def _selftest_checks():
         ("insertion-roundtrip", check_insertion),
         ("core-roundtrip", check_cores),
         ("kschur-smallest", check_kschur),
+        ("kschur-rotation", check_kschur_rotation),
         ("normalize-updown", check_normalize),
         ("code-roundtrip", check_code_inverse),
     ]

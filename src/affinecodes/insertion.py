@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import _check_code
-from .permutations import LetterOutOfRange, _check_word
+from .permutations import LetterOutOfRange, RankMismatch, _check_word
 
 
 class DescentViolation(ValueError):
@@ -142,11 +142,14 @@ def reverse_insert(code, tableau):
     The highest label must top a column p taller than column p - 1; p is the
     inserted letter.  Dropping that label and moving column p's labels above
     the height of column p - 1 back onto it undoes the step.  Raises
-    NotStandard whenever the labels cannot have recorded an insertion, and
-    RankTooSmall or NotACode when code is not a code.
+    NotStandard whenever the labels cannot have recorded an insertion,
+    RankTooSmall or NotACode when code is not a code, and RankMismatch when
+    the tableau's rank is not len(code) - 1.
     """
     _check_code(code)
     n = len(code)
+    if tableau.k != n - 1:
+        raise RankMismatch(f"rank {tableau.k} tableau for a code of rank {n - 1}")
     cells = tableau.as_dict()
     if sorted(cells.values()) != list(range(1, len(cells) + 1)):
         raise NotStandard("labels must be 1..N without repeats")

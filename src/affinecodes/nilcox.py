@@ -13,13 +13,23 @@ h_lambda make sense, and bounded-partition sums s_lambda are carved out of
 them by a triangular recursion: multiply by h of the smallest part and
 subtract the other sums indexed by weak strips, which all sit strictly higher
 in dominance order.
+
+The Dynkin rotation rho: i -> i + 1 sends each d_A to d_{A+1}, so every h_i,
+and every s_lambda, is rho-invariant (Lam 2006).  k_schur therefore runs the
+recursion on orbit tables: one entry per rho-orbit, keyed by the least
+rotation of the orbit's inverse windows (a tuple), holding the coefficient
+and the orbit size.  rho acts on inverse windows as on windows, by
+(w[-1] - n + 1, w[0] + 1, ..., w[n - 2] + 1).  Each Pieri step lets the
+reduced words of h_i, built once per (k, i), act on the representatives
+only, and divides each orbit's total by its size.  Orbits are expanded, and
+windows inverted, only when k_schur returns its NilCoxSum.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .cyclic import d_element, u_element
+from .cyclic import d_element, d_word, u_element
 from .permutations import (
     AffinePermutation,
     RankMismatch,
@@ -47,6 +57,11 @@ class NotFound(ValueError):
 
 class NotUnique(ValueError):
     """Several summands with all right descents at 0."""
+
+
+class NotRotationInvariant(ValueError):
+    """An orbit total that the orbit's size does not divide: the sum fed to
+    the orbit step was not invariant under the Dynkin rotation."""
 
 
 class NilCoxSum:
@@ -123,27 +138,12 @@ class NilCoxSum:
         if other.k != self.k:
             raise RankMismatch(f"rank {other.k} sum multiplied into rank {self.k}")
         k = self.k
-        n = k + 1
         lefts = [(_peeled_word(x.window), cx) for x, cx in self._terms.items()]
         rights = [(_inverse_window(y.window), cy) for y, cy in other._terms.items()]
         out = {}
-        for word, cx in lefts:
-            for inv, cy in rights:
-                w = inv[:]
-                for i in word:
-                    if i:
-                        a, b = w[i - 1], w[i]
-                        if a > b:
-                            break
-                        w[i - 1], w[i] = b, a
-                    else:
-                        a, b = w[n - 1] - n, w[0]
-                        if a > b:
-                            break
-                        w[0], w[n - 1] = a, b + n
-                else:
-                    z = AffinePermutation(k, _inverse_window(w))
-                    out[z] = out.get(z, 0) + cx * cy
+        for cx, cy, w in _surviving_pairs(k + 1, lefts, rights):
+            z = AffinePermutation(k, _inverse_window(w))
+            out[z] = out.get(z, 0) + cx * cy
         return NilCoxSum(k, out)
 
     def __rmul__(self, other):
@@ -170,6 +170,32 @@ class NilCoxSum:
             c = self._terms[x]
             bits.append(f"{c}*{x.window}" if c != 1 else f"{x.window}")
         return f"NilCoxSum({self.k}, " + " + ".join(bits) + ")"
+
+
+def _surviving_pairs(n, lefts, rights):
+    """Yield (left coefficient, right coefficient, inverse window of the
+    product) for every pair that survives the nil product.
+
+    lefts holds (reduced word, last letter first; coefficient) pairs, rights
+    (inverse window; coefficient) pairs.  The yielded window is a fresh list.
+    """
+    last = n - 1
+    for word, cx in lefts:
+        for inv, cy in rights:
+            w = list(inv)
+            for i in word:
+                if i:
+                    a, b = w[i - 1], w[i]
+                    if a > b:
+                        break
+                    w[i - 1], w[i] = b, a
+                else:
+                    a, b = w[last] - n, w[0]
+                    if a > b:
+                        break
+                    w[0], w[last] = a, b + n
+            else:
+                yield cx, cy, w
 
 
 def h(k, i):
@@ -205,13 +231,8 @@ def e_lambda(k, parts):
     return out
 
 
-def weak_strip(k, inner, outer):
-    """Whether outer/inner adds at most one cell per column, and the
-    k-conjugates at most one cell per row."""
-    inner = _check_partition(inner)
-    outer = _check_partition(outer)
-    if any(p > k for p in inner) or any(p > k for p in outer):
-        raise ValueError("parts must be at most k")
+def _is_weak_strip(inner, outer, ci, co):
+    """weak_strip, given the k-conjugates ci of inner and co of outer."""
     for i in range(max(len(inner), len(outer))):
         lo = inner[i] if i < len(inner) else 0
         hi = outer[i] if i < len(outer) else 0
@@ -219,8 +240,6 @@ def weak_strip(k, inner, outer):
             return False
         if i + 1 < len(outer) and outer[i + 1] > lo:
             return False
-    ci = k_conjugate_partition(k, inner)
-    co = k_conjugate_partition(k, outer)
     for i in range(max(len(ci), len(co))):
         lo = ci[i] if i < len(ci) else 0
         hi = co[i] if i < len(co) else 0
@@ -229,19 +248,35 @@ def weak_strip(k, inner, outer):
     return True
 
 
-def weak_strips(k, inner, size):
-    """All bounded partitions outer with outer/inner a weak strip of the
-    given size, sorted for determinism."""
+def weak_strip(k, inner, outer):
+    """Whether outer/inner adds at most one cell per column, and the
+    k-conjugates at most one cell per row."""
     inner = _check_partition(inner)
+    outer = _check_partition(outer)
+    if any(p > k for p in inner) or any(p > k for p in outer):
+        raise ValueError("parts must be at most k")
+    return _is_weak_strip(
+        inner, outer, k_conjugate_partition(k, inner), k_conjugate_partition(k, outer)
+    )
+
+
+def weak_strips(k, inner, size, conjugates=None):
+    """All bounded partitions outer with outer/inner a weak strip of the
+    given size, sorted for determinism.
+
+    conjugates, when given, is a dict from partitions to their k-conjugates
+    that is read first and filled with every k-conjugate computed.
+    """
+    inner = _check_partition(inner)
+    if conjugates is None:
+        conjugates = {}
     rows = len(inner) + 1
-    found = []
+    candidates = []
 
     def rec(i, prev, remaining, acc):
         if i == rows:
             if remaining == 0:
-                outer = tuple(p for p in acc if p > 0)
-                if weak_strip(k, inner, outer):
-                    found.append(outer)
+                candidates.append(tuple(p for p in acc if p > 0))
             return
         lo = inner[i] if i < len(inner) else 0
         hi = min(prev, k)
@@ -251,52 +286,178 @@ def weak_strips(k, inner, size):
             if v - lo <= remaining:
                 rec(i + 1, v, remaining - (v - lo), acc + [v])
 
+    def conjugate_of(parts):
+        found = conjugates.get(parts)
+        if found is None:
+            found = conjugates[parts] = k_conjugate_partition(k, parts)
+        return found
+
     rec(0, k, size, [])
+    if not candidates:
+        return []
+    ci = conjugate_of(inner)
+    found = [
+        outer for outer in candidates
+        if _is_weak_strip(inner, outer, ci, conjugate_of(outer))
+    ]
     return sorted(found, reverse=True)
 
 
 def k_schur(k, parts, table=None):
-    """Bounded-partition sum by the triangular h recursion.
+    """Bounded-partition sum by the triangular h recursion, on rotation orbits.
 
-    Shared across calls when the same table dict is passed in.
+    The recursion keeps one entry per orbit of the Dynkin rotation (see
+    _k_schur_orbits); the orbits are expanded into a NilCoxSum only here.
+    Shared across calls when the same table dict is passed in: afterwards
+    table[parts] is the returned sum, and the table also holds, under a key
+    that is not a partition, the orbit tables and k-conjugates of every
+    shape the recursion met.  A table serves one rank k.
     """
     parts = _check_partition(parts)
     if any(p > k for p in parts):
         raise ValueError(f"parts must be at most {k}: {parts}")
     if table is None:
         table = {}
-    return _k_schur(k, parts, table)
+    total = table.get(parts)
+    if total is None:
+        memo = table.get(_MEMO)
+        if memo is None:
+            memo = table[_MEMO] = _PieriMemo()
+        total = table[parts] = _expand_orbits(k, _k_schur_orbits(k, parts, memo))
+    return total
 
 
+class _PieriMemo:
+    """What a k_schur table keeps besides its partition entries."""
+
+    __slots__ = ("orbits", "conjugates")
+
+    def __init__(self):
+        self.orbits = {}  # partition -> orbit table, or _PENDING while computed
+        self.conjugates = {}  # partition -> its k-conjugate
+
+
+_MEMO = ("k_schur memo",)
 _PENDING = object()
 
+# The reduced words of the terms of h(k, i), last letter first, by (k, i).
+_H_WORDS = {}
 
-def _k_schur(k, parts, table):
-    if parts in table:
-        cached = table[parts]
-        if cached is _PENDING:
-            raise RuntimeError(f"recursion cycle at {parts}")
+
+def _h_words(k, i):
+    words = _H_WORDS.get((k, i))
+    if words is None:
+        words = _H_WORDS[(k, i)] = tuple(
+            tuple(reversed(d_word(k, a))) for a in combinations(range(k + 1), i)
+        )
+    return words
+
+
+def _rotate(w, n, p):
+    """The rotation of a window or inverse window w that starts at entry p.
+
+    The rotation rho: i -> i + 1 takes w to (w[-1] - n + 1, w[0] + 1, ...,
+    w[n - 2] + 1), the rotation starting at entry n - 1; starting at entry p
+    is rho applied n - p times.
+    """
+    return tuple([v - p for v in w[p:]] + [v + n - p for v in w[:p]])
+
+
+def _least_rotation(w, n):
+    """(least rotation, orbit size) of the inverse window w.
+
+    The rotation starting at entry p starts with w[p] - p, so only those
+    with the least w[p] - p can be least.  The rotations equal to the least
+    one number |stabiliser|, and the orbit has n / |stabiliser| elements.
+    """
+    firsts = [v - p for p, v in enumerate(w)]
+    first = min(firsts)
+    if firsts.count(first) == 1:
+        return _rotate(w, n, firsts.index(first)), n
+    rotations = [_rotate(w, n, p) for p, f in enumerate(firsts) if f == first]
+    least = min(rotations)
+    return least, n // rotations.count(least)
+
+
+def _h_times_orbits(k, i, orbits):
+    """h(k, i) times a rotation-invariant sum, both given as orbit tables.
+
+    An orbit table maps the least rotation of the inverse windows in each
+    orbit to (coefficient, orbit size).  With y_O the representative of
+    orbit O and c_O its coefficient, let T = h(k, i) * sum_O c_O |O| y_O.
+    Since h(k, i) is invariant too, the coefficient of each term of an orbit
+    Z in the product is the sum of T's coefficients over Z, divided by |Z|.
+    So only the representatives are multiplied.  Raises NotRotationInvariant
+    when a division leaves a remainder, which an invariant input never does.
+    """
+    n = k + 1
+    weighted = [(inv, c * size) for inv, (c, size) in orbits.items()]
+    totals = {}
+    for _, weight, w in _surviving_pairs(n, [(word, 1) for word in _h_words(k, i)], weighted):
+        z = tuple(w)
+        totals[z] = totals.get(z, 0) + weight
+    sums = {}
+    sizes = {}
+    for z, total in totals.items():
+        rep, sizes[rep] = _least_rotation(z, n)
+        sums[rep] = sums.get(rep, 0) + total
+    out = {}
+    for rep, total in sums.items():
+        c, remainder = divmod(total, sizes[rep])
+        if remainder:
+            raise NotRotationInvariant(
+                f"orbit of {rep} has {sizes[rep]} elements and total {total}"
+            )
+        if c:
+            out[rep] = (c, sizes[rep])
+    return out
+
+
+def _k_schur_orbits(k, parts, memo):
+    """Orbit table of the sum for parts: h of the smallest part times the sum
+    for the other parts, less the sums of the other weak strips."""
+    orbits = memo.orbits
+    cached = orbits.get(parts)
+    if cached is _PENDING:
+        raise RuntimeError(f"recursion cycle at {parts}")
+    if cached is not None:
         return cached
     if not parts:
-        out = NilCoxSum.one(k)
-        table[parts] = out
+        out = orbits[parts] = {tuple(range(1, k + 2)): (1, 1)}
         return out
-    table[parts] = _PENDING
+    orbits[parts] = _PENDING
     small = parts[-1]
     rest = parts[:-1]
-    # the product is a fresh sum, so its dict can take the corrections
-    terms = (h(k, small) * _k_schur(k, rest, table))._terms
-    strips = weak_strips(k, rest, small)
+    out = _h_times_orbits(k, small, _k_schur_orbits(k, rest, memo))
+    strips = weak_strips(k, rest, small, memo.conjugates)
     assert parts in strips, "target shape must be a strip over its own base"
     for nu in strips:
         if nu == parts:
             continue
         assert dominates(nu, parts), "correction terms sit strictly above"
-        for x, c in _k_schur(k, nu, table)._terms.items():
-            terms[x] = terms.get(x, 0) - c
-    out = NilCoxSum(k, terms)
-    table[parts] = out
+        for rep, (c, size) in _k_schur_orbits(k, nu, memo).items():
+            left = out.get(rep, (0, size))[0] - c
+            if left:
+                out[rep] = (left, size)
+            else:
+                del out[rep]
+    orbits[parts] = out
     return out
+
+
+def _expand_orbits(k, orbits):
+    """The NilCoxSum with every rotation of every representative.
+
+    The rotation commutes with inversion, so each representative is
+    inverted once and its window rotated.
+    """
+    n = k + 1
+    terms = {}
+    for rep, (c, size) in orbits.items():
+        window = _inverse_window(rep)
+        for p in range(size):
+            terms[AffinePermutation(k, _rotate(window, n, p))] = c
+    return NilCoxSum(k, terms)
 
 
 def dominant_summand(total):

@@ -10,7 +10,9 @@ letter at a time where the library reads rows off the window-statistic code,
 codes are counted position by position near each anchor where the library
 counts residue classes in closed form, insertion carries row sets of
 residues and fixes labels up after each step where the library moves labels
-on one cell map, and code counts come from a closed binomial formula.
+on one cell map, code counts come from a closed binomial formula, and k-Schur
+sums come from the Pieri recursion on full sums where the library works on
+rotation orbits.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from affinecodes import AffinePermutation, NilCoxSum
 from affinecodes.codes import DECREASING, INCREASING, IdentityInput
 from affinecodes.cyclic import d_word, u_word
 from affinecodes.insertion import DescentViolation, NotReduced, NotStandard, RecordingTableau
+from affinecodes.nilcox import h, weak_strips
+from affinecodes.shapes import dominates
 
 
 def bfs_levels(k, bound):
@@ -332,4 +336,28 @@ def all_proper_connected(k):
     for bottom in range(n):
         for size in range(1, n):
             out.append(frozenset((bottom + t) % n for t in range(size)))
+    return out
+
+
+def pieri_k_schur(k, parts, table):
+    """Bounded-partition sum by the triangular h recursion on full sums:
+    h of the smallest part times the sum for the other parts, as a nil
+    product of NilCoxSums, less the sums of the other weak strips.  table
+    maps partitions to their sums and is shared across calls.
+    """
+    if parts in table:
+        return table[parts]
+    if not parts:
+        out = table[parts] = NilCoxSum.one(k)
+        return out
+    small = parts[-1]
+    rest = parts[:-1]
+    out = h(k, small) * pieri_k_schur(k, rest, table)
+    strips = weak_strips(k, rest, small)
+    assert parts in strips, "target shape must be a strip over its own base"
+    for nu in strips:
+        if nu != parts:
+            assert dominates(nu, parts), "correction terms sit strictly above"
+            out = out - pieri_k_schur(k, nu, table)
+    table[parts] = out
     return out

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from affinecodes.cli import main
+from affinecodes.nilcox import k_schur
 from goldens import (
     CORE_K3,
     INSERT_CODE,
@@ -194,6 +195,21 @@ def test_kschur_expand(capsys):
     assert all(t["coefficient"] == 1 for t in payload["terms"])
 
 
+@pytest.mark.parametrize("k, parts", [(2, (2, 1)), (3, (2, 1, 1)), (4, (3, 2, 2, 1)), (5, (3, 3, 1))])
+def test_kschur_expand_lists_terms_in_support_order(capsys, k, parts):
+    total = k_schur(k, parts)
+    partition = ",".join(map(str, parts))
+    code, out, _ = run(capsys, "kschur", "--k", str(k), "--partition", partition,
+                       "--format", "json")
+    assert code == 0
+    terms = [(tuple(t["window"]), t["coefficient"]) for t in json.loads(out)["terms"]]
+    assert terms == [(x.window, total.coefficient(x)) for x in total.support()]
+    code, out, _ = run(capsys, "kschur", "--k", str(k), "--partition", partition)
+    assert code == 0
+    expected = [f"{total.coefficient(x)} {list(x.window)}" for x in total.support()]
+    assert out.splitlines() == expected + [f"terms: {len(total)}"]
+
+
 def test_kschur_verify_split(capsys):
     code, out, _ = run(capsys, "kschur", "--k", "4", "--mode", "verify-split",
                        "--partition", "3,2,2,1,1,1")
@@ -204,7 +220,7 @@ def test_kschur_verify_split(capsys):
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert "7/7 checks passed" in out
+    assert "8/8 checks passed" in out
     code, out, _ = run(capsys, "selftest", "--inject-fault")
     assert code == 1
     assert "FAIL" in out

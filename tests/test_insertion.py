@@ -5,7 +5,7 @@ import pytest
 
 from affinecodes import AffinePermutation
 from affinecodes.codes import affine_code, code_to_permutation, rd
-from affinecodes import LetterOutOfRange, NotACode, RankTooSmall
+from affinecodes import LetterOutOfRange, NotACode, RankMismatch, RankTooSmall
 from affinecodes.insertion import (
     BoundExceeded,
     DescentViolation,
@@ -76,6 +76,11 @@ def test_word_validation():
             reverse_insert(code, RecordingTableau(0, ()))
     with pytest.raises(NotACode):
         reverse_insert((-1, 0, 1), RecordingTableau(2, (((2, 1), 1),)))
+    cells = (((2, 1), 1), ((2, 2), 2), ((2, 3), 3))
+    assert reverse_insert((0, 0, 3, 0), RecordingTableau(3, cells)) == [0, 1, 2]
+    for k in (2, 7):
+        with pytest.raises(RankMismatch):
+            reverse_insert((0, 0, 3, 0), RecordingTableau(k, cells))
 
 
 def test_not_reduced_position():

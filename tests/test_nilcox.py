@@ -10,6 +10,7 @@ from affinecodes.nilcox import (
     IndexTooLarge,
     NilCoxSum,
     NotFound,
+    NotRotationInvariant,
     NotUnique,
     dominant_summand,
     e,
@@ -23,10 +24,11 @@ from affinecodes.nilcox import (
     weak_strip,
     weak_strips,
 )
+from affinecodes.nilcox import _MEMO, _expand_orbits, _h_times_orbits
 from affinecodes.permutations import RankMismatch
 from affinecodes.shapes import conjugate, grassmannian_perm, k_conjugate_partition
 from goldens import GRASS_LAMBDA, KSCHUR_GOLDENS, S11_K2_WORDS, SPLIT_K4_FACTORS
-from oracles import bfs_levels, bounded_partitions, nil_product
+from oracles import bfs_levels, bounded_partitions, nil_product, pieri_k_schur
 
 
 def test_sum_arithmetic():
@@ -300,3 +302,57 @@ def test_k_schur_exactness_goldens():
         assert len(pairs) == count
         assert {c for _, c in pairs} == coefficients
         assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] == fingerprint
+
+
+def _rotated(total):
+    return NilCoxSum(total.k, {x.dynkin_rotate(): c for x, c in total.terms().items()})
+
+
+def test_orbit_route_matches_pieri_oracle():
+    for k in (1, 2, 3, 4):
+        table, oracle_table = {}, {}
+        for size in range(0, 8):
+            for lam in bounded_partitions(k, size):
+                total = k_schur(k, lam, table)
+                assert total == pieri_k_schur(k, lam, oracle_table), (k, lam)
+                assert _rotated(total) == total, (k, lam)
+                assert min(total.terms().values()) > 0, (k, lam)
+
+
+def test_orbit_step_matches_full_product():
+    for k in (1, 2, 3):
+        table = {}
+        for size in range(0, 5):
+            for lam in bounded_partitions(k, size):
+                total = k_schur(k, lam, table)
+                orbits = table[_MEMO].orbits[lam]
+                assert _expand_orbits(k, orbits) == total
+                for i in range(k + 1):
+                    product = _expand_orbits(k, _h_times_orbits(k, i, orbits))
+                    assert product == h(k, i) * total, (k, lam, i)
+
+
+def test_orbit_step_rejects_non_invariant_input():
+    # s_1 alone, passed off as a one-element orbit; its orbit has 4 elements
+    s1 = (2, 1, 3, 4)
+    for i in (0, 1):
+        with pytest.raises(NotRotationInvariant):
+            _h_times_orbits(3, i, {s1: (1, 1)})
+    # the whole orbit s_0 + s_1 + s_2 + s_3 is invariant
+    assert _expand_orbits(3, _h_times_orbits(3, 1, {s1: (1, 4)})) == h(3, 1) * h(3, 1)
+
+
+def test_k_schur_table_holds_each_requested_sum():
+    table = {}
+    total = k_schur(3, (2, 2, 1), table)
+    assert isinstance(table[(2, 2, 1)], NilCoxSum)
+    assert table[(2, 2, 1)] is total
+    assert k_schur(3, (2, 2, 1), table) is total
+    assert (2, 2) not in table
+    assert k_schur(3, (2, 2), table) == k_schur(3, (2, 2))
+    table = {}
+    _, results = verify_split_product(4, (3, 2, 2, 1, 1, 1), table)
+    assert table[(3, 2, 2, 1, 1, 1)] == k_schur(4, (3, 2, 2, 1, 1, 1))
+    for blocks, _ in results:
+        for block in blocks:
+            assert isinstance(table[block], NilCoxSum)
